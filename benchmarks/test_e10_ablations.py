@@ -9,10 +9,10 @@
   Example 7 join.
 """
 
-from repro import Stats, execute_planned, optimize
+from repro import Stats, optimize
 from repro.bench import ExperimentReport, timed
 from repro.core import UniquenessOptions, test_uniqueness
-from repro.engine import PlannerOptions
+from repro.engine import PlannerOptions, execute_planned
 
 
 A1_BATTERY = [

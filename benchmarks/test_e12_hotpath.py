@@ -12,15 +12,9 @@ Three mechanisms attack the engine's interpretive overheads:
 Every table in this module lands in ``BENCH_hotpath.json``.
 """
 
-from repro import (
-    Stats,
-    clear_all_caches,
-    execute_planned,
-    set_caches_enabled,
-    test_uniqueness,
-)
+from repro import Stats, clear_all_caches, set_caches_enabled, test_uniqueness
 from repro.bench import ExperimentReport, speedup, timed
-from repro.engine import PlanCache, set_compilation_enabled
+from repro.engine import PlanCache, execute_planned, set_compilation_enabled
 from repro.workloads import SupplierScale, build_database, generate
 
 # The E10 CASE-tool audit templates (5 provably redundant, 5 required).

@@ -24,11 +24,11 @@ machine drift hits both arms equally:
 Both ratios must stay under 1.05.  Lands in ``BENCH_e13.json``.
 """
 
-from repro import clear_all_caches, execute_planned, run_guarded
+from repro import clear_all_caches
 from repro.bench import ExperimentReport, timed
-from repro.engine import PlanCache
+from repro.engine import PlanCache, execute_planned
 from repro.resilience import FAULTS, ResourceBudget
-from repro.resilience.guarded import reset_safe_mode_sampling
+from repro.resilience.guarded import reset_safe_mode_sampling, run_guarded
 
 KEY_SQL = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = :N"
 SCAN_SQL = (

@@ -1,13 +1,5 @@
 """The unified ``Connection``/``Cursor`` facade — one way to execute.
 
-The library grew four overlapping execution entrypoints
-(:func:`~repro.engine.executor.execute`,
-:func:`~repro.engine.planner.execute_planned`,
-:func:`~repro.resilience.guarded.run_guarded`,
-:func:`~repro.observe.analyze.execute_analyzed`), each threading its own
-subset of budget/safe-mode/parallel keyword arguments.  This module
-subsumes them behind a DB-API-flavored facade:
-
 * :func:`connect` — open a :class:`Connection` from a
   :class:`~repro.engine.database.Database`, a SQL-script path, or an
   ``http(s)://`` URL of a :mod:`repro.net` server.  Local and remote
@@ -15,15 +7,18 @@ subsumes them behind a DB-API-flavored facade:
 * :class:`Cursor` — ``execute(sql, ...)`` with every knob expressed
   through one frozen :class:`~repro.options.ExecutionOptions`, then
   ``fetchone``/``fetchmany``/``fetchall`` or plain iteration.
-* :func:`run_with_options` — the execution core both the local backend
-  and the :class:`~repro.service.QueryService` workers call: guarded
-  execution (budgets, safe-mode verification) plus optional EXPLAIN
-  ANALYZE, driven entirely by an options value.
+* :func:`run_statement` — the one statement dispatch both the local
+  backend and the :class:`~repro.service.QueryService` workers call.
+  It parses the text once and routes it: transaction control to
+  :func:`apply_transaction_control`, DML to
+  :func:`run_dml_with_options`, reads to :func:`run_with_options` —
+  guarded execution (budgets, safe-mode verification) plus optional
+  EXPLAIN ANALYZE, driven entirely by an options value.
 
-The legacy entrypoints remain importable from :mod:`repro` as thin
-delegating shims that raise :class:`DeprecationWarning`; their module
-homes (``repro.engine``, ``repro.resilience.guarded``,
-``repro.observe``) are unchanged and unwarned for internal use.
+The lower-level entrypoints live in their home modules:
+:func:`repro.engine.execute`, :func:`repro.engine.execute_planned`,
+:func:`repro.resilience.guarded.run_guarded` and
+:func:`repro.observe.execute_analyzed`.
 
 Quickstart::
 
@@ -40,8 +35,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Sequence
 
@@ -53,6 +46,7 @@ from .engine.result import Result
 from .engine.stats import Stats
 from .errors import (
     CatalogError,
+    ParseError,
     ProtocolError,
     ReproError,
     ResourceError,
@@ -78,19 +72,23 @@ from .sql.ast import (
     Delete,
     Insert,
     RollbackTransaction,
-    Statement,
+    SelectQuery,
+    SetOperation,
     Update,
 )
-from .sql.parser import parse, parse_query
+from .sql.parser import parse
 
 #: Sentinel distinguishing "argument not passed" from an explicit None
 #: or False in :meth:`Cursor.execute` keyword overrides.
 _UNSET = object()
 
+_TRANSACTION_CONTROL = (BeginTransaction, CommitTransaction, RollbackTransaction)
+_DML = (Insert, Update, Delete)
 
-def run_with_options(
-    query: Any,
-    database: Database,
+
+def run_statement(
+    sql: str,
+    host: Any,
     *,
     params: dict | None = None,
     options: ExecutionOptions | None = None,
@@ -100,16 +98,85 @@ def run_with_options(
     planner_options: Any | None = None,
     health: Any | None = None,
     on_guard: Any | None = None,
-    transaction: Any | None = None,
+) -> GuardedOutcome:
+    """Parse *sql* once and run it for *host* — the one statement dispatch.
+
+    Both the :class:`Connection`'s local backend and the
+    :class:`~repro.service.QueryService` workers (hence the HTTP server)
+    enter here.  *host* owns the connection-scoped transaction: it
+    exposes ``database``, a writable ``transaction`` slot, and
+    ``transaction_for(options)``, which returns the transaction a
+    statement runs in (a local backend opens the DB-API implicit one
+    there; a service session never opens one).
+
+    ``BEGIN``/``COMMIT``/``ROLLBACK`` go to
+    :func:`apply_transaction_control`; DML runs through
+    :func:`run_dml_with_options` inside the host's transaction (or its
+    own autocommit one); reads run through :func:`run_with_options`
+    against the transaction's pinned snapshot.  The parsed statement
+    travels down with its source text, so nothing below re-parses it.
+    The remaining keywords are forwarded to :func:`run_with_options`.
+    """
+    statement = parse(sql)
+    if isinstance(statement, _TRANSACTION_CONTROL):
+        return apply_transaction_control(statement, host, host.database, stats)
+    options = options if options is not None else ExecutionOptions()
+    transaction = host.transaction_for(options)
+    if isinstance(statement, _DML):
+        return run_dml_with_options(
+            statement,
+            sql,
+            host.database,
+            transaction,
+            params=params,
+            options=options,
+            stats=stats,
+        )
+    return run_with_options(
+        statement,
+        host.database if transaction is None else transaction.view(),
+        sql_text=sql,
+        params=params,
+        options=options,
+        stats=stats,
+        plan_cache=plan_cache,
+        parallel=parallel,
+        planner_options=planner_options,
+        health=health,
+        on_guard=on_guard,
+    )
+
+
+def run_with_options(
+    query: Any,
+    database: Database,
+    *,
+    sql_text: str | None = None,
+    params: dict | None = None,
+    options: ExecutionOptions | None = None,
+    stats: Stats | None = None,
+    plan_cache: PlanCache | None = None,
+    parallel: Any | None = None,
+    planner_options: Any | None = None,
+    health: Any | None = None,
+    on_guard: Any | None = None,
 ) -> GuardedOutcome:
     """Execute *query* under one :class:`ExecutionOptions` value.
 
-    This is the single execution core behind the :class:`Connection`
-    facade, :meth:`repro.service.QueryService.submit`, and the HTTP
-    server: guarded execution with the options' budget and safe mode,
-    rewrites disabled when ``options.optimize`` is False, and — with
-    ``options.analyze`` — an instrumented EXPLAIN ANALYZE run attached
-    as :attr:`~repro.resilience.guarded.GuardedOutcome.analysis`.
+    This is the execution core below :func:`run_statement`: guarded
+    execution with the options' budget and safe mode, rewrites disabled
+    when ``options.optimize`` is False, and — with ``options.analyze``
+    — an instrumented EXPLAIN ANALYZE run attached as
+    :attr:`~repro.resilience.guarded.GuardedOutcome.analysis`.
+
+    *query* is SQL text or a parsed statement; with a parsed statement,
+    *sql_text* is the text it was parsed from (the key safe-mode
+    sampling and cache eviction use).  DML runs in an implicit
+    single-statement transaction that commits before returning.
+    ``BEGIN``/``COMMIT``/``ROLLBACK`` are *not* accepted here —
+    transaction lifetime belongs to the owner of the transaction (a
+    :class:`Connection` or a service session), so control statements
+    must go through :func:`run_statement`.
 
     *parallel* overrides ``options.parallel`` when not None (the service
     passes its live shared :class:`~repro.engine.parallel.ParallelExecution`).
@@ -117,8 +184,8 @@ def run_with_options(
     Deadline semantics: when ``options.deadline`` is set, the effective
     execution timeout is the smaller of ``options.timeout`` and the
     deadline's remaining budget, and an already-expired deadline raises
-    :class:`~repro.errors.DeadlineExpiredError` here — before parsing,
-    planning, or touching a single operator.
+    :class:`~repro.errors.DeadlineExpiredError` here — before planning
+    or touching a single operator.
 
     *health* (a :class:`~repro.resilience.health.HealthTracker`) clamps
     the execution to the ladder's current tiers — a demoted subsystem's
@@ -126,39 +193,22 @@ def run_with_options(
     and success signals afterwards.  *on_guard* is forwarded to
     :func:`~repro.resilience.guarded.run_guarded` so the caller can
     cooperatively cancel mid-flight.
-
-    *transaction* (an open :class:`~repro.engine.txn.Transaction`) runs
-    the statement inside that transaction: reads go through its pinned
-    snapshot view, DML buffers into it without committing.  Without
-    one, reads execute against the latest committed state and DML runs
-    in an implicit single-statement transaction that commits before
-    returning.  ``BEGIN``/``COMMIT``/``ROLLBACK`` are *not* accepted
-    here — transaction lifetime belongs to the owner of the transaction
-    handle (a :class:`Connection` or a service session), so control
-    statements must go through :func:`apply_transaction_control`.
     """
     options = options if options is not None else ExecutionOptions()
-    statement: Any = parse(query) if isinstance(query, str) else query
-    if isinstance(statement, (Insert, Update, Delete)):
+    if isinstance(query, str):
+        sql_text, query = query, parse(query)
+    if isinstance(query, _DML):
         return run_dml_with_options(
-            statement,
-            query if isinstance(query, str) else None,
-            database,
-            transaction,
-            params=params,
-            options=options,
+            query, sql_text, database, None, params=params, options=options,
             stats=stats,
         )
-    if isinstance(
-        statement, (BeginTransaction, CommitTransaction, RollbackTransaction)
-    ):
+    if isinstance(query, _TRANSACTION_CONTROL):
         raise ProtocolError(
             "transaction control must go through a Connection or a "
-            "service session (see apply_transaction_control)"
+            "service session (see run_statement)"
         )
-    if transaction is not None:
-        # Pin every read to the transaction's snapshot + its own writes.
-        database = transaction.view()
+    if not isinstance(query, (SelectQuery, SetOperation)):
+        raise ParseError("expected a query")
     if options.scan_ranges:
         # Scatter-gather shard execution: run against a read-only
         # row-range view.  Everything below (planner, caches, health)
@@ -167,16 +217,7 @@ def run_with_options(
         from .engine.sliced import SlicedDatabase
 
         database = SlicedDatabase.wrap(database, options.scan_ranges)
-    timeout = options.timeout
-    if options.deadline is not None:
-        # Raises DeadlineExpiredError when nothing is left: queue wait
-        # or network transit already spent the client's whole budget.
-        timeout = options.deadline.clamp_timeout(timeout)
-    budget = (
-        None
-        if timeout is None and options.row_budget is None
-        else ResourceBudget(timeout=timeout, row_budget=options.row_budget)
-    )
+    budget = options.budget()
     effective_parallel = parallel if parallel is not None else options.parallel
     optimize = options.optimize
     engine_mode = options.engine_mode
@@ -221,6 +262,7 @@ def run_with_options(
         outcome = run_guarded(
             query,
             database,
+            sql_text=sql_text,
             params=params,
             budget=budget,
             optimizer=optimizer,
@@ -251,7 +293,7 @@ def run_with_options(
         # Adaptive mode forces this instrumented run — observed actuals
         # are the feedback the correction store folds.
         outcome.analysis = execute_analyzed(
-            parse_query(outcome.sql),
+            outcome.query,
             database,
             params=params,
             options=planner_options,
@@ -303,14 +345,7 @@ def run_dml_with_options(
     stats = stats if stats is not None else Stats()
     if options.scan_ranges:
         raise ProtocolError("writes cannot run against a shard slice")
-    timeout = options.timeout
-    if options.deadline is not None:
-        timeout = options.deadline.clamp_timeout(timeout)
-    budget = (
-        None
-        if timeout is None and options.row_budget is None
-        else ResourceBudget(timeout=timeout, row_budget=options.row_budget)
-    )
+    budget = options.budget()
     guard = budget.guard() if budget is not None else None
     if sql_text is None:
         sql_text = f"{type(statement).__name__.upper()} {statement.table}"
@@ -517,25 +552,19 @@ class _LocalBackend:
     def run(
         self, sql: str, params: dict | None, options: ExecutionOptions
     ) -> ExecutedQuery:
-        statement = parse(sql) if isinstance(sql, str) else sql
-        if isinstance(
-            statement,
-            (BeginTransaction, CommitTransaction, RollbackTransaction),
-        ):
-            return executed_from_outcome(
-                apply_transaction_control(statement, self, self.database)
+        return executed_from_outcome(
+            run_statement(
+                sql, self, params=params, options=options,
+                plan_cache=self.plan_cache,
             )
+        )
+
+    def transaction_for(self, options: ExecutionOptions) -> Any:
+        """The transaction the next statement runs in; with autocommit
+        off, the implicit one opens here (DB-API 2.0)."""
         if self.transaction is None and not options.autocommit:
             self.transaction = self.database.begin()
-        outcome = run_with_options(
-            sql,
-            self.database,
-            params=params,
-            options=options,
-            plan_cache=self.plan_cache,
-            transaction=self.transaction,
-        )
-        return executed_from_outcome(outcome)
+        return self.transaction
 
     @property
     def in_transaction(self) -> bool:
@@ -1012,32 +1041,6 @@ def _apply_overrides(
     return ExecutionOptions(**values)
 
 
-def deprecated_entrypoint(name: str, replacement: str, target: Any) -> Any:
-    """Wrap a legacy entrypoint so calls warn but still work.
-
-    The shim preserves the target's signature and behavior exactly; the
-    :class:`DeprecationWarning` names the facade spelling to migrate to.
-    The un-shimmed function stays importable from its home module for
-    internal callers.
-    """
-
-    @functools.wraps(target)
-    def shim(*args: Any, **kwargs: Any) -> Any:
-        warnings.warn(
-            f"repro.{name}() is deprecated; use {replacement} "
-            f"(see repro.connect / repro.api.Connection)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return target(*args, **kwargs)
-
-    shim.__doc__ = (
-        f"Deprecated alias of :func:`{target.__module__}.{target.__name__}`;"
-        f" use {replacement} instead.\n\n{target.__doc__ or ''}"
-    )
-    return shim
-
-
 __all__ = [
     "Connection",
     "Cursor",
@@ -1045,8 +1048,8 @@ __all__ = [
     "ExecutionOptions",
     "apply_transaction_control",
     "connect",
-    "deprecated_entrypoint",
     "executed_from_outcome",
     "run_dml_with_options",
+    "run_statement",
     "run_with_options",
 ]

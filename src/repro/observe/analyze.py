@@ -284,7 +284,6 @@ def execute_analyzed(
     params: dict | None = None,
     stats: Any | None = None,
     options: Any | None = None,
-    use_indexes: bool = True,
     guard: Any | None = None,
     engine_mode: str | None = None,
     batch_rows: int | None = None,
@@ -305,10 +304,6 @@ def execute_analyzed(
     if isinstance(query, str):
         query = parse_query(query)
     planner_options = options or PlannerOptions()
-    if not use_indexes and planner_options.index_scans:
-        from dataclasses import replace
-
-        planner_options = replace(planner_options, index_scans=False)
     stats = stats if stats is not None else Stats()
     planner = Planner(
         database.catalog, planner_options, database=database, stats=stats
@@ -322,7 +317,6 @@ def execute_analyzed(
             database,
             params=params,
             stats=stats,
-            use_indexes=use_indexes,
             guard=guard,
             engine_mode=engine_mode,
             batch_rows=batch_rows,

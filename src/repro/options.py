@@ -1,15 +1,13 @@
 """One frozen options object for every execution surface.
 
-Before this module existed, the same three knobs — budgets, safe mode,
-morsel parallelism — were threaded as loose keyword arguments through
-four different entrypoints (``execute``, ``execute_planned``,
-``run_guarded``, ``execute_analyzed``), the service's ``Session``, and
-the CLI.  :class:`ExecutionOptions` consolidates them: the
-:mod:`repro.api` facade, :meth:`repro.service.QueryService.submit`, and
-the HTTP request schema (:mod:`repro.net.protocol`) all carry this one
-immutable value, and :meth:`ExecutionOptions.to_wire` /
-:meth:`ExecutionOptions.from_wire` round-trip it local → service →
-socket without loss.
+Budgets, safe mode, morsel parallelism and every other per-query knob
+travel as one immutable :class:`ExecutionOptions` value: the
+:mod:`repro.api` facade and its statement dispatch
+(:func:`repro.api.run_statement`),
+:meth:`repro.service.QueryService.submit`, and the HTTP request schema
+(:mod:`repro.net.protocol`) all carry it, and
+:meth:`ExecutionOptions.to_wire` / :meth:`ExecutionOptions.from_wire`
+round-trip it local → service → socket without loss.
 
 Import discipline: this module depends only on the leaf dataclasses
 (:class:`~repro.resilience.budgets.ResourceBudget`,
@@ -212,10 +210,20 @@ class ExecutionOptions:
     # -- derived views --------------------------------------------------
 
     def budget(self) -> ResourceBudget | None:
-        """The :class:`ResourceBudget` these options imply, if any."""
-        if self.timeout is None and self.row_budget is None:
+        """The :class:`ResourceBudget` these options imply, if any.
+
+        With a :attr:`deadline`, the timeout is the smaller of
+        :attr:`timeout` and what the deadline has left; an expired
+        deadline raises :class:`~repro.errors.DeadlineExpiredError` —
+        queue wait or network transit already spent the whole budget.
+        Reads and writes both build their budget here.
+        """
+        timeout = self.timeout
+        if self.deadline is not None:
+            timeout = self.deadline.clamp_timeout(timeout)
+        if timeout is None and self.row_budget is None:
             return None
-        return ResourceBudget(timeout=self.timeout, row_budget=self.row_budget)
+        return ResourceBudget(timeout=timeout, row_budget=self.row_budget)
 
     def merged(self, override: "ExecutionOptions | None") -> "ExecutionOptions":
         """These options with every non-default field of *override* on top.

@@ -77,6 +77,8 @@ class GuardedOutcome:
         evicted: cache entries evicted after a mismatch.
         audit: the optimizer's audit trail — every theorem decision
             (fired or rejected, with witness) behind the rewrite.
+        query: the parsed form of :attr:`sql` (None for writes and
+            transaction control).
         analysis: the EXPLAIN ANALYZE
             :class:`~repro.observe.analyze.AnalyzedExecution` when the
             execution ran with ``analyze`` requested (see
@@ -96,6 +98,7 @@ class GuardedOutcome:
     quarantined: list[str] = field(default_factory=list)
     evicted: int = 0
     audit: AuditTrail = field(default_factory=AuditTrail)
+    query: Query | None = None
     analysis: object | None = None
     rowcount: int = -1
 
@@ -123,6 +126,7 @@ def run_guarded(
     params: dict[str, SqlValue] | None = None,
     budget: ResourceBudget | None = None,
     *,
+    sql_text: str | None = None,
     optimizer: Optimizer | None = None,
     safe_mode: bool = False,
     sample_every: int = 1,
@@ -130,7 +134,6 @@ def run_guarded(
     stats: Stats | None = None,
     planner_options: PlannerOptions | None = None,
     plan_cache: PlanCache | None = None,
-    use_indexes: bool = True,
     parallel=None,
     engine_mode: str | None = None,
     batch_rows: int | None = None,
@@ -141,6 +144,10 @@ def run_guarded(
     Args:
         query: SQL text or a parsed query expression.
         database: the database to execute against.
+        sql_text: the text a parsed *query* came from — the key for
+            safe-mode sampling and cache eviction, and the served
+            ``sql`` after a mismatch.  Without it a parsed query is
+            printed back to SQL.
         params: host-variable bindings.
         budget: per-query limits; a fresh guard is started per execution
             (the safe-mode reference gets its own, so the cross-check is
@@ -153,7 +160,7 @@ def run_guarded(
         strict: raise :class:`~repro.errors.RewriteMismatchError` on a
             mismatch instead of degrading to the reference result.
         stats: counter sink for the primary execution.
-        planner_options / plan_cache / use_indexes: forwarded to
+        planner_options / plan_cache: forwarded to
             :func:`~repro.engine.planner.execute_planned`.
         parallel: a :class:`~repro.engine.parallel.ParallelOptions` or
             live :class:`~repro.engine.parallel.ParallelExecution`,
@@ -184,7 +191,7 @@ def run_guarded(
         parsed = parse_query(query)
     else:
         parsed = query
-        original_text = to_sql(query)
+        original_text = sql_text if sql_text is not None else to_sql(query)
     if optimizer is None:
         optimizer = Optimizer.for_relational(database.catalog)
     traced = TRACER.enabled  # one test when tracing is off
@@ -209,7 +216,6 @@ def run_guarded(
             params=params,
             stats=stats,
             options=planner_options,
-            use_indexes=use_indexes,
             plan_cache=plan_cache,
             guard=guard,
             parallel=parallel,
@@ -229,6 +235,7 @@ def run_guarded(
             rules=rules,
             stats=stats,
             audit=outcome.audit,
+            query=outcome.query,
         )
 
         if not (safe_mode and outcome.changed):
@@ -249,7 +256,6 @@ def run_guarded(
                 params=params,
                 stats=Stats(),
                 options=planner_options,
-                use_indexes=use_indexes,
                 plan_cache=plan_cache,
                 guard=budget.guard() if budget is not None else None,
                 engine_mode="tuple",
@@ -275,6 +281,7 @@ def run_guarded(
             guarded_span.attributes["mismatch"] = True
         out.result = reference
         out.sql = original_text
+        out.query = parsed
         if strict:
             raise RewriteMismatchError(rules, original_text)
         return out

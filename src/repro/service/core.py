@@ -3,10 +3,10 @@
 :class:`QueryService` owns a pool of worker threads draining a bounded
 admission queue.  Callers interact through
 :class:`~repro.service.Session` handles and :class:`QueryTicket`
-futures; every query executes through
-:func:`~repro.resilience.guarded.run_guarded`, so the service inherits
-the whole resilience stack — budgets, safe-mode verification, typed
-errors — without new execution code.
+futures; every query executes through :func:`repro.api.run_statement`,
+the dispatch a :class:`~repro.api.Connection` uses too, so the service
+inherits the whole resilience stack — budgets, safe-mode verification,
+typed errors — without new execution code.
 
 Concurrency design (the full locking order lives in DESIGN.md §3e):
 
@@ -32,13 +32,7 @@ import queue
 import threading
 import time
 
-from ..api import apply_transaction_control, run_with_options
-from ..sql.ast import (
-    BeginTransaction,
-    CommitTransaction,
-    RollbackTransaction,
-)
-from ..sql.parser import parse
+from ..api import run_statement
 from ..engine.database import Database
 from ..engine.parallel import (
     ParallelExecution,
@@ -479,41 +473,20 @@ class QueryService:
                 if TRACER.enabled
                 else NULL_SPAN
             )
-            # Session-scoped transaction control: BEGIN/COMMIT/ROLLBACK
-            # flip the session's transaction; everything else executes
-            # inside it while it is open.  Parse failures fall through
-            # so run_with_options raises the same typed error it always
-            # did.
-            control = None
-            try:
-                candidate = parse(sql)
-            except Exception:
-                candidate = None
-            if isinstance(
-                candidate,
-                (BeginTransaction, CommitTransaction, RollbackTransaction),
-            ):
-                control = candidate
             try:
                 with span_cm:
-                    if control is not None:
-                        outcome = apply_transaction_control(
-                            control, session, session.database, stats
-                        )
-                    else:
-                        outcome = run_with_options(
-                            sql,
-                            session.database,
-                            params=params,
-                            options=effective,
-                            stats=stats,
-                            planner_options=session.planner_options,
-                            plan_cache=self._plan_cache,
-                            parallel=self._parallel,
-                            health=self.health,
-                            on_guard=ticket._attach_guard,
-                            transaction=session.transaction,
-                        )
+                    outcome = run_statement(
+                        sql,
+                        session,
+                        params=params,
+                        options=effective,
+                        stats=stats,
+                        planner_options=session.planner_options,
+                        plan_cache=self._plan_cache,
+                        parallel=self._parallel,
+                        health=self.health,
+                        on_guard=ticket._attach_guard,
+                    )
             except BaseException as error:
                 session._record(stats, failed=True)
                 self.metrics.inc(

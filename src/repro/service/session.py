@@ -23,6 +23,7 @@ from ..options import ExecutionOptions
 from ..resilience.budgets import ResourceBudget
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..engine.txn import Transaction
     from .core import QueryService, QueryTicket
 
 
@@ -83,6 +84,14 @@ class Session:
         # Leaf lock: guards the accumulators only; never held while
         # executing a query or touching the service.
         self._lock = threading.Lock()
+
+    def transaction_for(
+        self, options: ExecutionOptions
+    ) -> "Transaction | None":
+        """The transaction the next statement runs in: the open one, or
+        None.  A session never opens an implicit transaction — a remote
+        client with autocommit off sends its own ``BEGIN``."""
+        return self.transaction
 
     # -- legacy views over the options value ----------------------------
 

@@ -1,9 +1,6 @@
-"""The Connection facade: one entrypoint over the guarded core, with
-the legacy functions reduced to warning shims."""
+"""The Connection facade: one entrypoint over the guarded core."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -119,39 +116,6 @@ class TestCursor:
                 "SELECT P.OEM-PNO FROM PARTS P WHERE P.SNO = 3"
             ).fetchall()
         assert rows == [(NULL,)]
-
-
-class TestDeprecatedShims:
-    @pytest.mark.parametrize(
-        "name,call",
-        [
-            ("execute", lambda db: repro.execute(
-                "SELECT S.SNO FROM SUPPLIER S", db)),
-            ("execute_planned", lambda db: repro.execute_planned(
-                "SELECT S.SNO FROM SUPPLIER S", db)),
-            ("run_guarded", lambda db: repro.run_guarded(
-                "SELECT S.SNO FROM SUPPLIER S", db)),
-        ],
-    )
-    def test_shim_warns_and_still_works(self, tiny_db, name, call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = call(tiny_db)
-        assert result is not None
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any(name in message for message in messages)
-        assert any("repro.connect" in message for message in messages)
-
-    def test_home_modules_do_not_warn(self, tiny_db):
-        from repro.engine import execute_planned as home_execute_planned
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            home_execute_planned("SELECT S.SNO FROM SUPPLIER S", tiny_db)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 class TestConnectionRepr:

@@ -8,8 +8,8 @@ all the conservative-gating rules that keep ineligible paths serial.
 
 import pytest
 
-from repro import Stats, execute_planned
-from repro.engine import ParallelOptions
+from repro import Stats
+from repro.engine import ParallelOptions, execute_planned
 from repro.engine.parallel import (
     MorselPool,
     ParallelExecution,

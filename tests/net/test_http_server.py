@@ -11,7 +11,7 @@ import urllib.request
 import pytest
 
 import repro
-from repro import execute_planned
+from repro.engine import execute_planned
 from repro.errors import (
     RemoteQueryError,
     TransientNetworkError,
@@ -23,8 +23,6 @@ from repro.types import NULL
 from repro.workloads import SupplierScale, build_database, generate
 
 from .conftest import raw_get, raw_post
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 # ---------------------------------------------------------------------------

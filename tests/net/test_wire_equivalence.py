@@ -20,8 +20,6 @@ from repro.workloads import (
     generate,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 SCALE = SupplierScale(suppliers=15, parts_per_supplier=4, agents_per_supplier=2)
 
 

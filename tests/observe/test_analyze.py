@@ -1,7 +1,6 @@
 """EXPLAIN ANALYZE: instrumented clones, actuals, and annotations."""
 
-from repro import execute_planned
-from repro.engine import Planner
+from repro.engine import Planner, execute_planned
 from repro.observe import (
     NodeStats,
     PlanAnalysis,

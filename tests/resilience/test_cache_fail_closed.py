@@ -9,10 +9,10 @@ serve correct, store nothing.
 
 import pytest
 
-from repro import Stats, clear_all_caches, execute_planned, test_uniqueness
+from repro import Stats, clear_all_caches, test_uniqueness
 from repro.cache import safe_fingerprint
 from repro.core.strategy import StrategySelector
-from repro.engine import Database
+from repro.engine import Database, execute_planned
 from repro.errors import QueryTimeout
 from repro.resilience import FAULTS, SITE_FINGERPRINT
 

@@ -10,7 +10,8 @@ evict the poisoned entries, and serve the reference answer.
 
 import pytest
 
-from repro import Stats, UniquenessResult, run_guarded
+from repro import Stats, UniquenessResult
+from repro.resilience.guarded import run_guarded
 from repro.cli import exit_code_for
 from repro.core.rewrite import quarantined_rules
 from repro.engine import Database
@@ -141,3 +142,36 @@ def test_run_guarded_accepts_stats_sink(db):
     outcome = run_guarded(SOUND_SQL, db, stats=stats)
     assert outcome.stats is stats
     assert stats.rows_scanned > 0
+
+
+#: DUPLICATE_SQL as a user might type it: printing the parsed form back
+#: to SQL would not reproduce this text.
+RAW_DUPLICATE_SQL = "select distinct S.SNAME  from SUPPLIER S"
+
+
+def test_connection_mismatch_serves_the_original_text(db):
+    import repro
+
+    with _inject_unsound_verdict(), repro.connect(db) as conn:
+        cursor = conn.execute(RAW_DUPLICATE_SQL, safe_mode=True)
+    assert cursor.executed.mismatch
+    assert cursor.executed.sql == RAW_DUPLICATE_SQL
+    assert cursor.outcome.evicted >= 1
+    assert sorted(cursor.fetchall()) == CORRECT_ROWS
+
+
+def test_sampling_keys_on_the_source_text(db):
+    """A parsed query handed down with its text shares the sampling
+    counter of that text, however it arrives."""
+    from repro.sql import parse_query
+
+    raw = "select distinct S.SNO, S.SNAME  from SUPPLIER S"
+    parsed = parse_query(raw)
+    verified = [
+        run_guarded(
+            raw if i % 2 else parsed, db, sql_text=raw, safe_mode=True,
+            sample_every=3,
+        ).verified
+        for i in range(4)
+    ]
+    assert verified == [True, False, False, True]
