@@ -16,7 +16,7 @@ machine drift hits both arms equally:
 
 * ``execute_planned`` bare vs. with an armed guard — the pure tick
   overhead, as the median per-pair ratio;
-* ``run_guarded`` plain vs. with budget + ``safe_mode`` — the always-on
+* ``run_with_options`` plain vs. with budget + ``safe_mode`` — the always-on
   bookkeeping as a median per-pair ratio, plus the sampled cross-check
   (a directly timed execution of the unrewritten plan) amortized at its
   exact 1-in-25 rate, the way a long session pays it.
@@ -25,10 +25,12 @@ Both ratios must stay under 1.05.  Lands in ``BENCH_e13.json``.
 """
 
 from repro import clear_all_caches
+from repro.api import run_with_options
 from repro.bench import ExperimentReport, timed
 from repro.engine import PlanCache, execute_planned
+from repro.options import ExecutionOptions
 from repro.resilience import FAULTS, ResourceBudget
-from repro.resilience.guarded import reset_safe_mode_sampling, run_guarded
+from repro.resilience.guarded import reset_safe_mode_sampling
 
 KEY_SQL = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = :N"
 SCAN_SQL = (
@@ -52,6 +54,8 @@ TICK_REPEATS = 9
 SAMPLE_EVERY = 25
 SAFE_REPEATS = 15
 BUDGET = ResourceBudget(timeout=120.0, row_budget=500_000_000)
+PLAIN = ExecutionOptions()
+SAFE = ExecutionOptions.create(budget=BUDGET, safe_mode=True)
 MAX_OVERHEAD = 1.05
 
 
@@ -97,11 +101,16 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
             for sql, p in BATCH
         )
 
-    def guarded_batch(**kwargs):
+    def guarded_batch(options=PLAIN, sample_every=1):
         return sum(
             len(
-                run_guarded(
-                    sql, bench_db, params=p, plan_cache=cache, **kwargs
+                run_with_options(
+                    sql,
+                    bench_db,
+                    params=p,
+                    options=options,
+                    plan_cache=cache,
+                    sample_every=sample_every,
                 ).result.rows
             )
             for sql, p in BATCH
@@ -127,9 +136,7 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
     # exact rate from a directly timed reference execution (one run of
     # the unrewritten EXISTS — precisely what a sampled check executes
     # on top of the primary).
-    safe_kwargs = dict(
-        budget=BUDGET, safe_mode=True, sample_every=SAMPLE_EVERY
-    )
+    safe_kwargs = dict(options=SAFE, sample_every=SAMPLE_EVERY)
     assert guarded_batch() == expected
     assert guarded_batch(**safe_kwargs) == expected  # consumes sample 0
     plain_times, safe_times = _interleaved(
@@ -165,10 +172,10 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
         tick_ratio,
     )
     report.add_row(
-        "run_guarded (median batch)", len(BATCH), t_plain, 1.0
+        "run_with_options (median batch)", len(BATCH), t_plain, 1.0
     )
     report.add_row(
-        f"run_guarded + budget + safe_mode(1/{SAMPLE_EVERY})",
+        f"run_with_options + budget + safe_mode(1/{SAMPLE_EVERY})",
         len(BATCH),
         t_plain * safe_ratio,
         safe_ratio,
@@ -190,7 +197,8 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
         f"budget ticks cost {(tick_ratio - 1) * 100:.1f}% on the warm path"
     )
     assert safe_ratio <= MAX_OVERHEAD, (
-        f"safe mode cost {(safe_ratio - 1) * 100:.1f}% over plain run_guarded"
+        f"safe mode cost {(safe_ratio - 1) * 100:.1f}% over plain "
+        f"run_with_options"
     )
 
 
@@ -204,7 +212,9 @@ def test_e13_safe_mode_verifies_rewrites_when_sampled(bench_db):
         "WHERE S.SCITY = 'Toronto'"
     )
     verified = [
-        run_guarded(sql, bench_db, safe_mode=True, sample_every=25).verified
+        run_with_options(
+            sql, bench_db, options=SAFE, sample_every=SAMPLE_EVERY
+        ).verified
         for _ in range(50)
     ]
     assert verified[0] is True and verified[25] is True

@@ -7,7 +7,8 @@ models that wait with a ``slow`` fault at the plan-cache site (the
 injector sleeps *outside* its lock, exactly like a real I/O stall), and
 measures a mixed E10/E12 workload three ways:
 
-* a serial loop over :func:`run_guarded` (the pre-service baseline),
+* a serial loop over :func:`~repro.api.run_with_options` (the
+  pre-service baseline),
 * a :class:`QueryService` at increasing worker counts,
 * two interleaved sessions against different databases, verifying that
   the shared plan cache never leaks rows across sessions.
@@ -20,7 +21,7 @@ row sequence identical to the serial run's.
 import pytest
 
 from repro import QueryService
-from repro.resilience.guarded import run_guarded
+from repro.api import run_with_options
 from repro.bench import ExperimentReport, speedup, timed
 from repro.engine.plan_cache import PlanCache
 from repro.resilience import FAULTS, SITE_PLAN_CACHE
@@ -70,7 +71,7 @@ def _mixed_workload() -> list[tuple[str, dict]]:
 
 def _run_serial(db, cache, items):
     return [
-        run_guarded(sql, db, params=params, plan_cache=cache)
+        run_with_options(sql, db, params=params, plan_cache=cache)
         for sql, params in items
     ]
 

@@ -27,9 +27,9 @@ in-process database, a SQL script path, or the URL of a ``repro serve
 --http`` server; every execution knob travels through one frozen
 :class:`ExecutionOptions`.  The lower-level entrypoints live in their
 home modules: :func:`repro.engine.execute`,
-:func:`repro.engine.execute_planned`,
-:func:`repro.resilience.guarded.run_guarded` and
-:func:`repro.observe.execute_analyzed`.
+:func:`repro.engine.execute_planned` and
+:func:`repro.observe.execute_analyzed`; reads below the facade run
+through :func:`repro.api.run_with_options`.
 """
 
 from .cache import (
@@ -68,7 +68,6 @@ from .errors import (
     RemoteQueryError,
     ReproError,
     ResourceError,
-    RewriteMismatchError,
     RowBudgetExceeded,
     ServiceError,
     ServiceOverloadedError,
@@ -153,7 +152,6 @@ __all__ = [
     "ResourceError",
     "Result",
     "RetryPolicy",
-    "RewriteMismatchError",
     "RowBudgetExceeded",
     "ServiceError",
     "ServiceOverloadedError",

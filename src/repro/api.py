@@ -12,13 +12,13 @@
   It parses the text once and routes it: transaction control to
   :func:`apply_transaction_control`, DML to
   :func:`run_dml_with_options`, reads to :func:`run_with_options` —
-  guarded execution (budgets, safe-mode verification) plus optional
-  EXPLAIN ANALYZE, driven entirely by an options value.
+  the one read pipeline: budget guard, rewrite, execution, the
+  safe-mode stage and optional EXPLAIN ANALYZE, driven entirely by an
+  options value.
 
 The lower-level entrypoints live in their home modules:
-:func:`repro.engine.execute`, :func:`repro.engine.execute_planned`,
-:func:`repro.resilience.guarded.run_guarded` and
-:func:`repro.observe.execute_analyzed`.
+:func:`repro.engine.execute`, :func:`repro.engine.execute_planned`
+and :func:`repro.observe.execute_analyzed`.
 
 Quickstart::
 
@@ -38,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Sequence
 
-from .core.rewrite.engine import Optimizer
+from .core.rewrite.engine import OptimizeResult, Optimizer
 from .engine.database import Database
 from .engine.parallel import ParallelOptions
 from .engine.plan_cache import PlanCache
+from .engine.planner import execute_planned
 from .engine.result import Result
 from .engine.stats import Stats
 from .errors import (
@@ -56,9 +57,9 @@ from .errors import (
 from .observe.analyze import execute_analyzed
 from .observe.trace import NULL_SPAN, TRACER
 from .options import ExecutionOptions
-from .resilience.budgets import ResourceBudget
+from .resilience.budgets import ExecutionGuard, ResourceBudget
 from .resilience.deadline import Deadline
-from .resilience.guarded import GuardedOutcome, run_guarded
+from .resilience.guarded import GuardedOutcome, cross_check
 from .resilience.health import (
     SUBSYSTEM_ESTIMATOR,
     SUBSYSTEM_OPTIMIZER,
@@ -77,6 +78,7 @@ from .sql.ast import (
     Update,
 )
 from .sql.parser import parse
+from .sql.printer import to_sql
 
 #: Sentinel distinguishing "argument not passed" from an explicit None
 #: or False in :meth:`Cursor.execute` keyword overrides.
@@ -160,41 +162,56 @@ def run_with_options(
     planner_options: Any | None = None,
     health: Any | None = None,
     on_guard: Any | None = None,
+    sample_every: int = 1,
 ) -> GuardedOutcome:
     """Execute *query* under one :class:`ExecutionOptions` value.
 
-    This is the execution core below :func:`run_statement`: guarded
-    execution with the options' budget and safe mode, rewrites disabled
-    when ``options.optimize`` is False, and — with ``options.analyze``
-    — an instrumented EXPLAIN ANALYZE run attached as
+    This is the one read pipeline below :func:`run_statement`.  In
+    order: parse (when *query* is text), build the budget guard,
+    optimize (skipped when ``options.optimize`` is False), execute the
+    winning form with :func:`~repro.engine.planner.execute_planned`,
+    fold the result into a :class:`GuardedOutcome`, run the safe-mode
+    stage (:func:`~repro.resilience.guarded.cross_check`) when a rewrite
+    fired, then — with ``options.analyze`` or ``options.adaptive`` — an
+    instrumented EXPLAIN ANALYZE run attached as
     :attr:`~repro.resilience.guarded.GuardedOutcome.analysis`.
 
     *query* is SQL text or a parsed statement; with a parsed statement,
     *sql_text* is the text it was parsed from (the key safe-mode
-    sampling and cache eviction use).  DML runs in an implicit
-    single-statement transaction that commits before returning.
-    ``BEGIN``/``COMMIT``/``ROLLBACK`` are *not* accepted here —
-    transaction lifetime belongs to the owner of the transaction (a
-    :class:`Connection` or a service session), so control statements
-    must go through :func:`run_statement`.
+    sampling and cache eviction use; without it the query is printed
+    back to SQL).  DML runs in an implicit single-statement transaction
+    that commits before returning.  ``BEGIN``/``COMMIT``/``ROLLBACK``
+    are *not* accepted here — transaction lifetime belongs to the owner
+    of the transaction (a :class:`Connection` or a service session), so
+    control statements must go through :func:`run_statement`.
 
     *parallel* overrides ``options.parallel`` when not None (the service
     passes its live shared :class:`~repro.engine.parallel.ParallelExecution`).
+    The safe-mode reference run stays serial and on the tuple engine
+    whatever the primary run used.  *sample_every* sets the safe-mode
+    sampling rate: the first execution of each text is checked, then
+    every n-th after it (1 = every execution).
 
     Deadline semantics: when ``options.deadline`` is set, the effective
     execution timeout is the smaller of ``options.timeout`` and the
     deadline's remaining budget, and an already-expired deadline raises
     :class:`~repro.errors.DeadlineExpiredError` here — before planning
-    or touching a single operator.
+    or touching a single operator.  Budget violations always propagate
+    as :class:`~repro.errors.ResourceError` subclasses.
 
     *health* (a :class:`~repro.resilience.health.HealthTracker`) clamps
     the execution to the ladder's current tiers — a demoted subsystem's
     fast path is simply not requested — and is fed the outcome's fault
-    and success signals afterwards.  *on_guard* is forwarded to
-    :func:`~repro.resilience.guarded.run_guarded` so the caller can
-    cooperatively cancel mid-flight.
+    and success signals afterwards.  *on_guard* is called with the
+    primary execution's :class:`~repro.resilience.budgets.ExecutionGuard`
+    before the first operator runs, so the caller can cooperatively
+    cancel mid-flight (an unlimited guard is created when the options
+    set no budget).
     """
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
     options = options if options is not None else ExecutionOptions()
+    stats = stats if stats is not None else Stats()
     if isinstance(query, str):
         sql_text, query = query, parse(query)
     if isinstance(query, _DML):
@@ -209,6 +226,8 @@ def run_with_options(
         )
     if not isinstance(query, (SelectQuery, SetOperation)):
         raise ParseError("expected a query")
+    if sql_text is None:
+        sql_text = to_sql(query)
     if options.scan_ranges:
         # Scatter-gather shard execution: run against a read-only
         # row-range view.  Everything below (planner, caches, health)
@@ -252,29 +271,65 @@ def run_with_options(
         planner_options = _stats_planner_options(
             planner_options, database, options, adaptive
         )
-    optimizer = None
-    if not optimize:
-        # An empty rule list turns run_guarded into plain planned
-        # execution: no rewrite can fire, so safe mode has nothing to
-        # cross-check and the audit trail stays empty.
-        optimizer = Optimizer(database.catalog, rules=[])
-    try:
-        outcome = run_guarded(
-            query,
-            database,
-            sql_text=sql_text,
-            params=params,
-            budget=budget,
-            optimizer=optimizer,
-            safe_mode=options.safe_mode,
-            stats=stats,
-            plan_cache=plan_cache,
-            planner_options=planner_options,
-            parallel=effective_parallel,
-            engine_mode=engine_mode,
-            batch_rows=options.batch_rows,
-            on_guard=on_guard,
+    guarded_cm = (
+        TRACER.span(
+            "guarded.run", stats=stats, sql=sql_text, safe_mode=options.safe_mode
         )
+        if TRACER.enabled
+        else NULL_SPAN
+    )
+    try:
+        with guarded_cm as guarded_span:
+            guard = budget.guard() if budget is not None else None
+            if on_guard is not None:
+                if guard is None:
+                    guard = ExecutionGuard()
+                on_guard(guard)
+            # With rewrites off the optimizer is never entered: the
+            # query runs as written and the audit trail stays empty.
+            optimized = (
+                Optimizer.for_relational(database.catalog).optimize(query)
+                if optimize
+                else OptimizeResult(query)
+            )
+            result = execute_planned(
+                optimized.query,
+                database,
+                params=params,
+                stats=stats,
+                options=planner_options,
+                plan_cache=plan_cache,
+                guard=guard,
+                parallel=effective_parallel,
+                engine_mode=engine_mode,
+                batch_rows=options.batch_rows,
+            )
+            if guarded_span is not None and guard is not None:
+                guarded_span.attributes["guard_rows"] = guard.rows_processed
+            outcome = GuardedOutcome(
+                result=result,
+                sql=to_sql(optimized.query),
+                rewritten=optimized.changed,
+                rules=list(dict.fromkeys(step.rule for step in optimized.steps)),
+                stats=stats,
+                audit=optimized.audit,
+                query=optimized.query,
+            )
+            if options.safe_mode and optimized.changed:
+                cross_check(
+                    outcome,
+                    optimized,
+                    query,
+                    sql_text,
+                    database,
+                    sample_every=sample_every,
+                    params=params,
+                    budget=budget,
+                    planner_options=planner_options,
+                    plan_cache=plan_cache,
+                )
+                if guarded_span is not None and outcome.mismatch:
+                    guarded_span.attributes["mismatch"] = True
     except ReproError as error:
         # Budget violations and user errors (bad SQL, unknown tables)
         # say nothing about subsystem health; engine-level failures do.
@@ -629,32 +684,38 @@ class Cursor:
 
         Precedence: an explicit ``options=`` value replaces the
         connection defaults wholesale; individual keyword arguments are
-        then layered on top of whichever base applies.  ``budget``
-        expands to ``timeout``/``row_budget``; ``parallel`` accepts a
-        plain worker count; ``deadline`` accepts seconds-from-now as
-        shorthand for a :class:`~repro.resilience.deadline.Deadline`.
+        then layered on top of whichever base applies, shorthands
+        expanded by :meth:`~repro.options.ExecutionOptions.with_overrides`:
+        ``budget`` expands to ``timeout``/``row_budget``; ``parallel``
+        accepts a plain worker count; ``deadline`` accepts
+        seconds-from-now as shorthand for a
+        :class:`~repro.resilience.deadline.Deadline`.
         """
         base = (
             options
             if options is not None
             else self.connection.default_options
         )
-        resolved = _apply_overrides(
-            base,
-            budget=budget,
-            timeout=timeout,
-            row_budget=row_budget,
-            safe_mode=safe_mode,
-            analyze=analyze,
-            optimize=optimize,
-            stats=stats,
-            adaptive=adaptive,
-            parallel=parallel,
-            engine_mode=engine_mode,
-            batch_rows=batch_rows,
-            deadline=deadline,
-            priority=priority,
-        )
+        overrides = {
+            name: value
+            for name, value in (
+                ("budget", budget),
+                ("timeout", timeout),
+                ("row_budget", row_budget),
+                ("safe_mode", safe_mode),
+                ("analyze", analyze),
+                ("optimize", optimize),
+                ("stats", stats),
+                ("adaptive", adaptive),
+                ("parallel", parallel),
+                ("engine_mode", engine_mode),
+                ("batch_rows", batch_rows),
+                ("deadline", deadline),
+                ("priority", priority),
+            )
+            if value is not _UNSET
+        }
+        resolved = base.with_overrides(**overrides)
         self._executed = self.connection._backend.run(sql, params, resolved)
         self._position = 0
         return self
@@ -967,78 +1028,6 @@ def connect(
         f"cannot connect to {type(source).__name__!r}: expected a Database, "
         f"a script path, or an http(s) URL"
     )
-
-
-def _apply_overrides(
-    base: ExecutionOptions,
-    *,
-    budget: Any = _UNSET,
-    timeout: Any = _UNSET,
-    row_budget: Any = _UNSET,
-    safe_mode: Any = _UNSET,
-    analyze: Any = _UNSET,
-    optimize: Any = _UNSET,
-    stats: Any = _UNSET,
-    adaptive: Any = _UNSET,
-    parallel: Any = _UNSET,
-    engine_mode: Any = _UNSET,
-    batch_rows: Any = _UNSET,
-    deadline: Any = _UNSET,
-    priority: Any = _UNSET,
-) -> ExecutionOptions:
-    """Layer explicitly-passed keyword overrides onto *base*."""
-    values: dict[str, Any] = {
-        "timeout": base.timeout,
-        "row_budget": base.row_budget,
-        "safe_mode": base.safe_mode,
-        "analyze": base.analyze,
-        "optimize": base.optimize,
-        "stats": base.stats,
-        "adaptive": base.adaptive,
-        "parallel": base.parallel,
-        "engine_mode": base.engine_mode,
-        "batch_rows": base.batch_rows,
-        "deadline": base.deadline,
-        "priority": base.priority,
-        "scan_ranges": base.scan_ranges,
-        "autocommit": base.autocommit,
-    }
-    if budget is not _UNSET and budget is not None:
-        if not isinstance(budget, ResourceBudget):
-            raise TypeError("budget must be a ResourceBudget")
-        values["timeout"] = budget.timeout
-        values["row_budget"] = budget.row_budget
-    if timeout is not _UNSET:
-        values["timeout"] = timeout
-    if row_budget is not _UNSET:
-        values["row_budget"] = row_budget
-    if safe_mode is not _UNSET:
-        values["safe_mode"] = bool(safe_mode)
-    if analyze is not _UNSET:
-        values["analyze"] = bool(analyze)
-    if optimize is not _UNSET:
-        values["optimize"] = bool(optimize)
-    if stats is not _UNSET:
-        values["stats"] = bool(stats)
-    if adaptive is not _UNSET:
-        values["adaptive"] = bool(adaptive)
-    if parallel is not _UNSET:
-        if isinstance(parallel, int) and not isinstance(parallel, bool):
-            parallel = (
-                ParallelOptions(workers=parallel) if parallel > 1 else None
-            )
-        values["parallel"] = parallel
-    if engine_mode is not _UNSET:
-        values["engine_mode"] = engine_mode
-    if batch_rows is not _UNSET:
-        values["batch_rows"] = batch_rows
-    if deadline is not _UNSET:
-        if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
-            deadline = Deadline.after(float(deadline))
-        values["deadline"] = deadline
-    if priority is not _UNSET:
-        values["priority"] = priority
-    return ExecutionOptions(**values)
 
 
 __all__ = [

@@ -119,7 +119,6 @@ from .observe import (
     execute_analyzed,
     set_tracing,
 )
-from .resilience import ResourceBudget
 from .service import QueryService
 from .sql import parse_query
 from .types import NULL, SqlValue
@@ -957,11 +956,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("no queries to serve", file=sys.stderr)
         return 0
 
-    budget = None
-    if args.timeout is not None or args.row_budget is not None:
-        budget = ResourceBudget(
-            timeout=args.timeout, row_budget=args.row_budget
-        )
     parallel = (
         ParallelOptions(workers=2, morsel_size=256, min_parallel_rows=1)
         if args.parallel_scan
@@ -977,19 +971,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ) as service:
         session = service.session(
             database,
-            budget=budget,
-            safe_mode=args.safe_mode,
-            options=(
-                ExecutionOptions.create(
-                    timeout=args.timeout,
-                    row_budget=args.row_budget,
-                    safe_mode=args.safe_mode,
-                    engine_mode=args.engine_mode,
-                    stats=args.stats,
-                    adaptive=args.adaptive,
-                )
-                if args.engine_mode or args.stats or args.adaptive
-                else None
+            options=ExecutionOptions.create(
+                timeout=args.timeout,
+                row_budget=args.row_budget,
+                safe_mode=args.safe_mode,
+                engine_mode=args.engine_mode,
+                stats=args.stats,
+                adaptive=args.adaptive,
             ),
         )
         tickets = service.submit_many(session, queries)

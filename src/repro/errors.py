@@ -216,24 +216,6 @@ class RewriteError(ReproError):
     """Raised when a rewrite rule is applied to an unsupported query."""
 
 
-class RewriteMismatchError(ReproError):
-    """Raised when safe mode catches a rewrite changing a result multiset.
-
-    Attributes:
-        rules: names of the rewrite rules that produced the bad plan.
-        sql: the original (unrewritten) query text.
-    """
-
-    def __init__(self, rules: list[str], sql: str) -> None:
-        names = ", ".join(rules) if rules else "(unknown rule)"
-        super().__init__(
-            f"rewrite mismatch detected by safe mode: {names} changed the "
-            f"result of {sql!r}; rule(s) quarantined"
-        )
-        self.rules = list(rules)
-        self.sql = sql
-
-
 class InjectedFaultError(ReproError):
     """The typed error raised by the fault injector's default faults."""
 
@@ -418,7 +400,6 @@ CLI_EXIT_CODES: list[tuple[type[ReproError], int]] = [
     (DeadlineExpiredError, 12),
     (ResourceError, 3),
     (TransientImsError, 7),
-    (RewriteMismatchError, 8),
     (ServiceOverloadedError, 9),
     (TicketWaitTimeout, 10),
     (NetworkError, 11),

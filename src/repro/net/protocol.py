@@ -42,7 +42,6 @@ from ..errors import (
     QueryCancelled,
     QueryTimeout,
     ReproError,
-    RewriteMismatchError,
     RowBudgetExceeded,
     ServiceOverloadedError,
     ServiceShutdownError,
@@ -77,7 +76,6 @@ ERROR_STATUS: list[tuple[type[BaseException], int]] = [
     (QueryCancelled, 503),
     (TransientImsError, 503),
     (InjectedFaultError, 503),
-    (RewriteMismatchError, 500),
     # Write conflicts: the request was well-formed but lost to a
     # concurrent committer.  409 is deliberately NOT retryable at the
     # transport level — blindly replaying a conflicting write is a

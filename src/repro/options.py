@@ -101,6 +101,8 @@ class ExecutionOptions:
     autocommit: bool = True
 
     def __post_init__(self) -> None:
+        if self.deadline is not None and not isinstance(self.deadline, Deadline):
+            raise TypeError("deadline must be a Deadline")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.row_budget is not None and self.row_budget <= 0:
@@ -145,67 +147,55 @@ class ExecutionOptions:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def create(
-        cls,
-        *,
-        budget: ResourceBudget | None = None,
-        timeout: float | None = None,
-        row_budget: int | None = None,
-        safe_mode: bool = False,
-        analyze: bool = False,
-        optimize: bool = True,
-        stats: bool = False,
-        adaptive: bool = False,
-        parallel: "ParallelOptions | int | None" = None,
-        engine_mode: str | None = None,
-        batch_rows: int | None = None,
-        deadline: "Deadline | float | None" = None,
-        priority: str = PRIORITY_INTERACTIVE,
-        scan_ranges: "Mapping[str, tuple[int, int]] | tuple[tuple[str, int, int], ...] | None" = None,
-        autocommit: bool = True,
-    ) -> "ExecutionOptions":
-        """Build options from the looser spellings the API accepts.
+    def create(cls, **overrides: Any) -> "ExecutionOptions":
+        """Build options from the looser spellings the API accepts —
+        the defaults with :meth:`with_overrides` applied."""
+        return cls().with_overrides(**overrides)
 
-        ``budget`` expands into ``timeout``/``row_budget`` (explicit
-        fields win over the budget's); ``parallel`` accepts a plain
-        worker count as shorthand for ``ParallelOptions(workers=n)``;
-        ``deadline`` accepts plain seconds-from-now as shorthand for
-        ``Deadline.after(seconds)``.
+    def with_overrides(self, **overrides: Any) -> "ExecutionOptions":
+        """These options with each given keyword on top.
+
+        The one place the API's shorthands are expanded:
+
+        * ``budget`` (a :class:`ResourceBudget`) sets ``timeout`` and
+          ``row_budget``; a field given explicitly beside it wins;
+        * ``parallel`` accepts a plain worker count as shorthand for
+          ``ParallelOptions(workers=n)`` (a count of 1 means serial);
+        * ``deadline`` accepts plain seconds-from-now as shorthand for
+          ``Deadline.after(seconds)``;
+        * ``scan_ranges`` accepts a ``{table: (start, stop)}`` mapping.
+
+        Booleans are rejected for ``parallel`` and ``deadline``.
         """
+        budget = overrides.pop("budget", None)
         if budget is not None:
-            if timeout is None:
-                timeout = budget.timeout
-            if row_budget is None:
-                row_budget = budget.row_budget
+            if not isinstance(budget, ResourceBudget):
+                raise TypeError("budget must be a ResourceBudget")
+            overrides.setdefault("timeout", budget.timeout)
+            overrides.setdefault("row_budget", budget.row_budget)
+        parallel = overrides.get("parallel")
+        if isinstance(parallel, bool):
+            raise TypeError("parallel must be ParallelOptions or a worker count")
         if isinstance(parallel, int):
-            parallel = (
+            overrides["parallel"] = (
                 ParallelOptions(workers=parallel) if parallel > 1 else None
             )
+        deadline = overrides.get("deadline")
+        if isinstance(deadline, bool):
+            raise TypeError("deadline must be a Deadline or seconds")
         if isinstance(deadline, (int, float)):
-            deadline = Deadline.after(float(deadline))
+            overrides["deadline"] = Deadline.after(float(deadline))
+        scan_ranges = overrides.get("scan_ranges")
         if isinstance(scan_ranges, Mapping):
-            scan_ranges = tuple(
+            overrides["scan_ranges"] = tuple(
                 (table, start, stop)
                 for table, (start, stop) in sorted(scan_ranges.items())
             )
         elif scan_ranges is not None:
-            scan_ranges = tuple(tuple(entry) for entry in scan_ranges)
-        return cls(
-            timeout=timeout,
-            row_budget=row_budget,
-            safe_mode=safe_mode,
-            analyze=analyze,
-            optimize=optimize,
-            stats=stats,
-            adaptive=adaptive,
-            parallel=parallel,
-            engine_mode=engine_mode,
-            batch_rows=batch_rows,
-            deadline=deadline,
-            priority=priority,
-            scan_ranges=scan_ranges,
-            autocommit=autocommit,
-        )
+            overrides["scan_ranges"] = tuple(
+                tuple(entry) for entry in scan_ranges
+            )
+        return replace(self, **overrides) if overrides else self
 
     # -- derived views --------------------------------------------------
 
@@ -388,9 +378,7 @@ class ExecutionOptions:
         parallel = payload.get("parallel")
         if parallel is not None:
             if isinstance(parallel, int) and not isinstance(parallel, bool):
-                kwargs["parallel"] = (
-                    ParallelOptions(workers=parallel) if parallel > 1 else None
-                )
+                kwargs["parallel"] = parallel
             elif isinstance(parallel, Mapping):
                 extra = set(parallel) - {
                     "workers",
@@ -412,7 +400,7 @@ class ExecutionOptions:
                     "option 'parallel' must be a worker count or an object"
                 )
         try:
-            return cls(**kwargs)
+            return cls.create(**kwargs)
         except ValueError as error:
             raise ProtocolError(f"invalid options: {error}") from None
 

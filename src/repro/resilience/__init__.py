@@ -10,11 +10,11 @@ plus the self-protection layer PR 7 added:
 * :mod:`~repro.resilience.budgets` — per-query
   :class:`ResourceBudget`/:class:`ExecutionGuard` (wall-clock timeout,
   row budgets, cooperative cancellation) checked from operator loops.
-* :mod:`~repro.resilience.guarded` — :func:`run_guarded`, the verified
-  entry point: budgets threaded through execution, and ``safe_mode``
-  cross-checking uniqueness-based rewrites against the unrewritten
-  plan, quarantining rules and evicting poisoned cache entries on a
-  mismatch.
+* :mod:`~repro.resilience.guarded` — safe mode: the
+  :class:`GuardedOutcome` every read returns, and the stage of
+  :func:`repro.api.run_with_options` that cross-checks
+  uniqueness-based rewrites against the unrewritten plan, quarantining
+  rules and evicting poisoned cache entries on a mismatch.
 * :mod:`~repro.resilience.deadline` /
   :mod:`~repro.resilience.admission` /
   :mod:`~repro.resilience.breaker` /
@@ -79,7 +79,7 @@ from .health import (
 )
 from .retry import RetryPolicy, call_with_retry
 
-_LAZY = ("run_guarded", "GuardedOutcome", "reset_safe_mode_sampling")
+_LAZY = ("GuardedOutcome", "reset_safe_mode_sampling")
 
 __all__ = [
     "ALL_SITES",
@@ -124,7 +124,6 @@ __all__ = [
     "SheddingPolicy",
     "call_with_retry",
     "reset_safe_mode_sampling",
-    "run_guarded",
 ]
 
 

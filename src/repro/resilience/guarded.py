@@ -1,9 +1,9 @@
-"""Guarded, verified query execution — the resilience entry point.
+"""Safe mode: verified execution of uniqueness-based rewrites.
 
-:func:`run_guarded` is the hardened counterpart of "optimize then
-``execute_planned``": it applies the rewrite optimizer, executes the
-winning form under a per-query :class:`~repro.resilience.budgets.ResourceBudget`,
-and — in *safe mode* — cross-checks uniqueness-based rewrites against
+:func:`repro.api.run_with_options` optimizes a read, executes the
+winning form, and folds the result into a :class:`GuardedOutcome`.
+When ``safe_mode`` is on and a rewrite fired, it hands the outcome to
+:func:`cross_check`, which cross-checks the rewritten result against
 the unrewritten plan on sampled executions.
 
 Safe-mode semantics: when the rewritten and reference executions
@@ -13,8 +13,6 @@ process-wide (see :func:`repro.core.rewrite.engine.quarantine_rule`),
 every cache entry keyed on the involved query texts is **evicted** (a
 poisoned Algorithm 1 verdict, plan, or strategy choice cannot be served
 again), and the *reference* result — the verified answer — is returned.
-With ``strict=True`` the mismatch raises
-:class:`~repro.errors.RewriteMismatchError` instead.
 
 The cross-check is sound because the physical planner never consults the
 uniqueness analysis: an unsound verdict can only enter through the
@@ -24,23 +22,20 @@ rewrite layer, which the reference execution bypasses entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..cache import evict_by_text
-from ..core.rewrite.engine import Optimizer, quarantine_rule
+from ..core.rewrite.engine import OptimizeResult, quarantine_rule
 from ..engine.database import Database
 from ..engine.plan_cache import PlanCache
 from ..engine.planner import PlannerOptions, execute_planned
 from ..engine.result import Result
 from ..engine.stats import Stats
-from ..errors import RewriteMismatchError
 from ..observe.audit import AuditTrail
 from ..observe.trace import NULL_SPAN, TRACER
 from ..sql.ast import Query
-from ..sql.parser import parse_query
 from ..sql.printer import to_sql
 from ..types.values import SqlValue
-from .budgets import ExecutionGuard, ResourceBudget
+from .budgets import ResourceBudget
 
 #: Per-query-text execution counters driving safe-mode sampling.
 _sample_counters: dict[str, int] = {}
@@ -120,168 +115,71 @@ class GuardedOutcome:
         return "; ".join(parts)
 
 
-def run_guarded(
-    query: Query | str,
+def cross_check(
+    outcome: GuardedOutcome,
+    optimized: OptimizeResult,
+    source: Query,
+    sql_text: str,
     database: Database,
+    *,
+    sample_every: int,
     params: dict[str, SqlValue] | None = None,
     budget: ResourceBudget | None = None,
-    *,
-    sql_text: str | None = None,
-    optimizer: Optimizer | None = None,
-    safe_mode: bool = False,
-    sample_every: int = 1,
-    strict: bool = False,
-    stats: Stats | None = None,
     planner_options: PlannerOptions | None = None,
     plan_cache: PlanCache | None = None,
-    parallel=None,
-    engine_mode: str | None = None,
-    batch_rows: int | None = None,
-    on_guard: Callable[[ExecutionGuard], None] | None = None,
-) -> GuardedOutcome:
-    """Optimize and execute *query* under *budget*, optionally verified.
+) -> None:
+    """The safe-mode stage: verify the rewritten *outcome* in place.
 
-    Args:
-        query: SQL text or a parsed query expression.
-        database: the database to execute against.
-        sql_text: the text a parsed *query* came from — the key for
-            safe-mode sampling and cache eviction, and the served
-            ``sql`` after a mismatch.  Without it a parsed query is
-            printed back to SQL.
-        params: host-variable bindings.
-        budget: per-query limits; a fresh guard is started per execution
-            (the safe-mode reference gets its own, so the cross-check is
-            granted the same allowance as the primary run).
-        optimizer: rewrite pipeline; defaults to the relational profile.
-        safe_mode: cross-check rewritten results against the unrewritten
-            plan on sampled executions.
-        sample_every: check the first execution of each query text, then
-            every n-th after it (1 = every execution).
-        strict: raise :class:`~repro.errors.RewriteMismatchError` on a
-            mismatch instead of degrading to the reference result.
-        stats: counter sink for the primary execution.
-        planner_options / plan_cache: forwarded to
-            :func:`~repro.engine.planner.execute_planned`.
-        parallel: a :class:`~repro.engine.parallel.ParallelOptions` or
-            live :class:`~repro.engine.parallel.ParallelExecution`,
-            forwarded to the primary execution.  The safe-mode reference
-            run stays serial on purpose: a diverse pair of executions is
-            a stronger cross-check than two identical ones.
-        engine_mode / batch_rows: execution style for the primary run
-            (see :func:`~repro.engine.planner.execute_plan`).  The
-            safe-mode reference is pinned to the tuple interpreter for
-            the same diversity reason the parallel knob stays serial:
-            the verified answer comes from the row-at-a-time code path.
-        on_guard: called with the primary execution's
-            :class:`~repro.resilience.budgets.ExecutionGuard` before the
-            first operator runs, so an external owner (a service ticket
-            whose client abandoned the wait) can cooperatively cancel
-            mid-flight.  When no budget was given, an unlimited guard is
-            created just so there is a cancellation point to hand out.
+    *optimized* is the rewrite of *source* (parsed from *sql_text*)
+    that produced *outcome*.  Sampling keys on *sql_text*: its first
+    execution is checked, then every *sample_every*-th.  A sampled
+    check re-executes the unrewritten *source* and compares multisets.
+    On a mismatch it quarantines the rules, evicts every cache entry
+    keyed on an involved text (*sql_text*, the served SQL, each rewrite
+    step's before and after), and serves the reference result under
+    *sql_text*.
 
-    Budget violations always propagate as
-    :class:`~repro.errors.ResourceError` subclasses — no fallback ladder
-    may swallow them.
+    The reference run gets a fresh guard from *budget* (the same
+    allowance as the primary run) and is pinned to the serial tuple
+    interpreter: a diverse pair of executions is a stronger
+    cross-check than two identical ones.
     """
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
-    stats = stats if stats is not None else Stats()
-    if isinstance(query, str):
-        original_text = query
-        parsed = parse_query(query)
-    else:
-        parsed = query
-        original_text = sql_text if sql_text is not None else to_sql(query)
-    if optimizer is None:
-        optimizer = Optimizer.for_relational(database.catalog)
-    traced = TRACER.enabled  # one test when tracing is off
-    guarded_cm = (
-        TRACER.span(
-            "guarded.run", stats=stats, sql=original_text, safe_mode=safe_mode
-        )
-        if traced
+    if not _take_sample(sql_text, sample_every):
+        return
+    outcome.verified = True
+    cross_cm = (
+        TRACER.span("guarded.cross_check", sql=sql_text)
+        if TRACER.enabled
         else NULL_SPAN
     )
-    with guarded_cm as guarded_span:
-        outcome = optimizer.optimize(parsed)
-
-        guard = budget.guard() if budget is not None else None
-        if on_guard is not None:
-            if guard is None:
-                guard = ExecutionGuard()
-            on_guard(guard)
-        result = execute_planned(
-            outcome.query,
+    with cross_cm:
+        reference = execute_planned(
+            source,
             database,
             params=params,
-            stats=stats,
+            stats=Stats(),
             options=planner_options,
             plan_cache=plan_cache,
-            guard=guard,
-            parallel=parallel,
-            engine_mode=engine_mode,
-            batch_rows=batch_rows,
+            guard=budget.guard() if budget is not None else None,
+            engine_mode="tuple",
         )
-        if guarded_span is not None and guard is not None:
-            guarded_span.attributes["guard_rows"] = guard.rows_processed
-        rules: list[str] = []
-        for step in outcome.steps:
-            if step.rule not in rules:
-                rules.append(step.rule)
-        out = GuardedOutcome(
-            result=result,
-            sql=to_sql(outcome.query),
-            rewritten=outcome.changed,
-            rules=rules,
-            stats=stats,
-            audit=outcome.audit,
-            query=outcome.query,
-        )
+    if reference.same_rows(outcome.result):
+        return
 
-        if not (safe_mode and outcome.changed):
-            return out
-        if not _take_sample(original_text, sample_every):
-            return out
-
-        out.verified = True
-        cross_cm = (
-            TRACER.span("guarded.cross_check", sql=original_text)
-            if traced
-            else NULL_SPAN
-        )
-        with cross_cm:
-            reference = execute_planned(
-                parsed,
-                database,
-                params=params,
-                stats=Stats(),
-                options=planner_options,
-                plan_cache=plan_cache,
-                guard=budget.guard() if budget is not None else None,
-                engine_mode="tuple",
-            )
-        if reference.same_rows(result):
-            return out
-
-        # The rewrite changed the result multiset.  Quarantine the rules,
-        # purge every cache entry keyed on an involved query text (the
-        # poisoned verdict/plan/strategy entries all key on text), and
-        # serve the verified reference result.
-        texts = {original_text, out.sql}
-        for step in outcome.steps:
-            texts.add(to_sql(step.before))
-            texts.add(to_sql(step.after))
-        for text in texts:
-            out.evicted += evict_by_text(text)
-        for rule in rules:
-            quarantine_rule(rule, f"safe-mode mismatch on {original_text!r}")
-        out.mismatch = True
-        out.quarantined = list(rules)
-        if guarded_span is not None:
-            guarded_span.attributes["mismatch"] = True
-        out.result = reference
-        out.sql = original_text
-        out.query = parsed
-        if strict:
-            raise RewriteMismatchError(rules, original_text)
-        return out
+    # The rewrite changed the result multiset.  Quarantine the rules,
+    # purge every cache entry keyed on an involved query text (the
+    # poisoned verdict/plan/strategy entries all key on text), and
+    # serve the verified reference result.
+    texts = {sql_text, outcome.sql}
+    for step in optimized.steps:
+        texts.add(to_sql(step.before))
+        texts.add(to_sql(step.after))
+    for text in texts:
+        outcome.evicted += evict_by_text(text)
+    for rule in outcome.rules:
+        quarantine_rule(rule, f"safe-mode mismatch on {sql_text!r}")
+    outcome.mismatch = True
+    outcome.quarantined = list(outcome.rules)
+    outcome.result = reference
+    outcome.sql = sql_text
+    outcome.query = source

@@ -52,7 +52,7 @@ from ..observe.metrics import MetricsRegistry
 from ..observe.trace import NULL_SPAN, TRACER
 from ..options import ExecutionOptions
 from ..resilience.admission import AdmissionController, SheddingPolicy
-from ..resilience.budgets import ExecutionGuard, ResourceBudget
+from ..resilience.budgets import ExecutionGuard
 from ..resilience.guarded import GuardedOutcome
 from ..resilience.health import HealthPolicy, HealthTracker
 from .session import Session
@@ -249,17 +249,15 @@ class QueryService:
         database: Database,
         *,
         name: str | None = None,
-        budget: ResourceBudget | None = None,
         planner_options: PlannerOptions | None = None,
-        safe_mode: bool = False,
         options: ExecutionOptions | None = None,
     ) -> Session:
         """Open a session binding *database* and its execution settings.
 
         *options* sets the session's default
-        :class:`~repro.options.ExecutionOptions` directly; the legacy
-        ``budget``/``safe_mode`` arguments remain as shorthand and are
-        folded into an options value when *options* is not given.
+        :class:`~repro.options.ExecutionOptions` (budget, safe mode and
+        every other per-query knob); per-query options passed to
+        :meth:`submit` layer on top.
         """
         if self._shutdown.is_set():
             raise ServiceShutdownError()
@@ -271,9 +269,7 @@ class QueryService:
             self,
             database,
             name,
-            budget=budget,
             planner_options=planner_options,
-            safe_mode=safe_mode,
             options=options,
         )
 

@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING
 from ..engine.database import Database
 from ..engine.planner import PlannerOptions
 from ..engine.stats import Stats
-from ..options import ExecutionOptions
-from ..resilience.budgets import ResourceBudget
+from ..options import DEFAULT_OPTIONS, ExecutionOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.txn import Transaction
@@ -45,9 +44,6 @@ class Session:
         planner_options: physical-planning knobs for this session.
         stats: accumulated counters over every completed query.
         queries_completed / queries_failed: session-scoped outcomes.
-
-    ``budget`` and ``safe_mode`` remain readable as properties derived
-    from :attr:`options`, so pre-facade callers keep working.
     """
 
     def __init__(
@@ -55,19 +51,13 @@ class Session:
         service: "QueryService",
         database: Database,
         name: str,
-        budget: ResourceBudget | None = None,
         planner_options: PlannerOptions | None = None,
-        safe_mode: bool = False,
         options: ExecutionOptions | None = None,
     ) -> None:
         self._service = service
         self.database = database
         self.name = name
-        self.options = (
-            options
-            if options is not None
-            else ExecutionOptions.create(budget=budget, safe_mode=safe_mode)
-        )
+        self.options = options if options is not None else DEFAULT_OPTIONS
         self.planner_options = planner_options
         self.stats = Stats()
         self.queries_completed = 0
@@ -92,18 +82,6 @@ class Session:
         None.  A session never opens an implicit transaction — a remote
         client with autocommit off sends its own ``BEGIN``."""
         return self.transaction
-
-    # -- legacy views over the options value ----------------------------
-
-    @property
-    def budget(self) -> ResourceBudget | None:
-        """The per-query budget the session's options imply."""
-        return self.options.budget()
-
-    @property
-    def safe_mode(self) -> bool:
-        """Whether queries default to safe-mode cross-checking."""
-        return self.options.safe_mode
 
     # -- submission convenience ----------------------------------------
 

@@ -110,6 +110,14 @@ class TestCursor:
             assert not cursor.executed.rewritten
             assert cursor.executed.rules == []
 
+    @pytest.mark.parametrize("name", ["deadline", "parallel"])
+    def test_bool_shorthands_rejected(self, tiny_db, name):
+        """The cursor expands shorthands through the same normalizer as
+        ExecutionOptions.create, so both reject a bool the same way."""
+        with repro.connect(tiny_db) as conn:
+            with pytest.raises(TypeError):
+                conn.execute("SELECT S.SNO FROM SUPPLIER S", **{name: True})
+
     def test_null_results(self, tiny_db):
         with repro.connect(tiny_db) as conn:
             rows = conn.execute(

@@ -35,12 +35,24 @@ class TestConstruction:
         assert options.safe_mode
         derived = options.budget()
         assert derived.timeout == 2.0 and derived.row_budget == 100
+        # A field given beside the budget wins over the budget's.
+        options = ExecutionOptions.create(budget=budget, row_budget=7)
+        assert (options.timeout, options.row_budget) == (2.0, 7)
 
     def test_create_int_parallel(self):
         options = ExecutionOptions.create(parallel=4)
         assert isinstance(options.parallel, ParallelOptions)
         assert options.parallel.workers == 4
         assert ExecutionOptions.create(parallel=1).parallel is None
+
+    @pytest.mark.parametrize("name", ["deadline", "parallel"])
+    def test_bool_shorthands_rejected(self, name):
+        with pytest.raises(TypeError):
+            ExecutionOptions.create(**{name: True})
+
+    def test_deadline_field_must_be_a_deadline(self):
+        with pytest.raises(TypeError):
+            ExecutionOptions(deadline=1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

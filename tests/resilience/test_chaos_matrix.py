@@ -19,8 +19,9 @@ import random
 import pytest
 
 from repro import clear_all_caches
+from repro.api import run_with_options
 from repro.engine import execute_planned
-from repro.resilience.guarded import run_guarded
+from repro.options import ExecutionOptions
 from repro.core.rewrite import unquarantine_all
 from repro.errors import ReproError
 from repro.ims import ImsGateway
@@ -116,7 +117,8 @@ def test_chaos_engine_matrix(db, baselines, site, kwargs):
 
 @pytest.mark.parametrize("site,kwargs", ENGINE_SCENARIOS[:6], ids=str)
 def test_chaos_guarded_matrix(db, baselines, site, kwargs):
-    """run_guarded under the same faults: safe mode may not lie either."""
+    """The read pipeline under the same faults: safe mode may not lie
+    either."""
     FAULTS.seed(CHAOS_SEED)
     rng = random.Random(CHAOS_SEED)
     for query in PAPER_QUERIES:
@@ -126,11 +128,11 @@ def test_chaos_guarded_matrix(db, baselines, site, kwargs):
         unquarantine_all()
         with FAULTS.inject(site, **kwargs):
             try:
-                outcome = run_guarded(
+                outcome = run_with_options(
                     query.sql,
                     db,
                     params=query.params,
-                    safe_mode=rng.random() < 0.5,
+                    options=ExecutionOptions(safe_mode=rng.random() < 0.5),
                 )
             except ReproError:
                 continue

@@ -12,11 +12,11 @@ from repro.errors import (
     RemoteQueryError,
     ReproError,
     ResourceError,
-    RewriteMismatchError,
     RowBudgetExceeded,
     TicketWaitTimeout,
     TransientImsError,
     TransientNetworkError,
+    UniquenessViolationError,
 )
 
 
@@ -29,7 +29,7 @@ class TestExitCodeMap:
             (QueryCancelled("operator"), 6),
             (ResourceError("generic budget failure"), 3),
             (TransientImsError("GL"), 7),
-            (RewriteMismatchError(["distinct-elimination"], "SELECT 1"), 8),
+            (UniquenessViolationError("T", "PRIMARY KEY (A)"), 13),
             (ReproError("anything else"), 2),
             (ParseError("bad token"), 2),
             (ExecutionError("type clash"), 2),

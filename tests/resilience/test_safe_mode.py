@@ -11,11 +11,11 @@ evict the poisoned entries, and serve the reference answer.
 import pytest
 
 from repro import Stats, UniquenessResult
-from repro.resilience.guarded import run_guarded
-from repro.cli import exit_code_for
+from repro.api import run_with_options
+from repro.cli import main
 from repro.core.rewrite import quarantined_rules
 from repro.engine import Database
-from repro.errors import RewriteMismatchError
+from repro.options import ExecutionOptions
 from repro.resilience import FAULTS, SITE_UNIQUENESS
 
 SCRIPT = """
@@ -34,6 +34,9 @@ CORRECT_ROWS = [("Blake",), ("Smith",)]
 
 #: SNO is the key: DISTINCT elimination here is legitimately sound.
 SOUND_SQL = "SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S"
+
+PLAIN = ExecutionOptions()
+SAFE = ExecutionOptions(safe_mode=True)
 
 
 def _unsound_yes(result):
@@ -54,19 +57,19 @@ def _inject_unsound_verdict():
 def test_corrupt_verdict_without_safe_mode_leaks_duplicates(db):
     """Establish the hazard: unguarded, the bad rewrite changes rows."""
     with _inject_unsound_verdict():
-        outcome = run_guarded(DUPLICATE_SQL, db, safe_mode=False)
+        outcome = run_with_options(DUPLICATE_SQL, db, options=PLAIN)
     assert outcome.rewritten and "distinct-elimination" in outcome.rules
     assert sorted(outcome.result.rows) == [("Blake",), ("Smith",), ("Smith",)]
 
     # Worse: the unsound YES was cached.  Even with the fault disarmed,
     # the same text replays the poisoned verdict.
-    replay = run_guarded(DUPLICATE_SQL, db, safe_mode=False)
+    replay = run_with_options(DUPLICATE_SQL, db, options=PLAIN)
     assert replay.rewritten  # served from the poisoned cache
 
 
 def test_safe_mode_detects_quarantines_and_serves_reference(db):
     with _inject_unsound_verdict():
-        outcome = run_guarded(DUPLICATE_SQL, db, safe_mode=True)
+        outcome = run_with_options(DUPLICATE_SQL, db, options=SAFE)
 
     assert outcome.verified and outcome.mismatch
     assert outcome.quarantined == ["distinct-elimination"]
@@ -78,7 +81,7 @@ def test_safe_mode_detects_quarantines_and_serves_reference(db):
 
     # The quarantine holds process-wide: the rule no longer fires, so
     # later executions are correct even without safe mode.
-    later = run_guarded(DUPLICATE_SQL, db, safe_mode=False)
+    later = run_with_options(DUPLICATE_SQL, db, options=PLAIN)
     assert not later.rewritten
     assert sorted(later.result.rows) == CORRECT_ROWS
 
@@ -89,27 +92,30 @@ def test_eviction_purges_the_poisoned_verdict(db):
     from repro.core.rewrite import unquarantine_all
 
     with _inject_unsound_verdict():
-        run_guarded(DUPLICATE_SQL, db, safe_mode=True)
+        run_with_options(DUPLICATE_SQL, db, options=SAFE)
     unquarantine_all()
 
-    clean = run_guarded(DUPLICATE_SQL, db, safe_mode=False)
+    clean = run_with_options(DUPLICATE_SQL, db, options=PLAIN)
     assert not clean.rewritten  # fresh verdict: SNAME is not a key
     assert sorted(clean.result.rows) == CORRECT_ROWS
 
 
-def test_strict_mode_raises_typed_error(db):
+def test_cli_mismatch_serves_the_reference_and_exits_8(db, tmp_path, capsys):
+    script = tmp_path / "supplier.sql"
+    script.write_text(SCRIPT)
     with _inject_unsound_verdict():
-        with pytest.raises(RewriteMismatchError) as info:
-            run_guarded(DUPLICATE_SQL, db, safe_mode=True, strict=True)
-    assert info.value.rules == ["distinct-elimination"]
-    assert info.value.sql == DUPLICATE_SQL
-    assert exit_code_for(info.value) == 8
-    # Strict mode still quarantined before raising.
+        code = main(
+            ["run", "--script", str(script), "--safe-mode", DUPLICATE_SQL]
+        )
+    assert code == 8
+    captured = capsys.readouterr()
+    assert "MISMATCH" in captured.err
+    assert "-- 2 row(s)" in captured.out
     assert "distinct-elimination" in quarantined_rules()
 
 
 def test_sound_rewrites_verify_clean(db):
-    outcome = run_guarded(SOUND_SQL, db, safe_mode=True)
+    outcome = run_with_options(SOUND_SQL, db, options=SAFE)
     assert outcome.rewritten and outcome.verified and not outcome.mismatch
     assert sorted(outcome.result.rows) == [
         (1, "Smith"), (2, "Smith"), (3, "Blake"),
@@ -121,25 +127,25 @@ def test_sound_rewrites_verify_clean(db):
 def test_sampling_checks_first_then_every_nth(db):
     verified = []
     for _ in range(7):
-        outcome = run_guarded(SOUND_SQL, db, safe_mode=True, sample_every=3)
+        outcome = run_with_options(SOUND_SQL, db, options=SAFE, sample_every=3)
         verified.append(outcome.verified)
     assert verified == [True, False, False, True, False, False, True]
 
     with pytest.raises(ValueError):
-        run_guarded(SOUND_SQL, db, safe_mode=True, sample_every=0)
+        run_with_options(SOUND_SQL, db, options=SAFE, sample_every=0)
 
 
 def test_unchanged_queries_skip_the_cross_check(db):
-    outcome = run_guarded(
-        "SELECT S.SNAME FROM SUPPLIER S", db, safe_mode=True
+    outcome = run_with_options(
+        "SELECT S.SNAME FROM SUPPLIER S", db, options=SAFE
     )
     assert not outcome.rewritten and not outcome.verified
     assert "not rewritten" in outcome.describe()
 
 
-def test_run_guarded_accepts_stats_sink(db):
+def test_run_with_options_accepts_stats_sink(db):
     stats = Stats()
-    outcome = run_guarded(SOUND_SQL, db, stats=stats)
+    outcome = run_with_options(SOUND_SQL, db, options=PLAIN, stats=stats)
     assert outcome.stats is stats
     assert stats.rows_scanned > 0
 
@@ -168,8 +174,8 @@ def test_sampling_keys_on_the_source_text(db):
     raw = "select distinct S.SNO, S.SNAME  from SUPPLIER S"
     parsed = parse_query(raw)
     verified = [
-        run_guarded(
-            raw if i % 2 else parsed, db, sql_text=raw, safe_mode=True,
+        run_with_options(
+            raw if i % 2 else parsed, db, sql_text=raw, options=SAFE,
             sample_every=3,
         ).verified
         for i in range(4)

@@ -10,9 +10,9 @@ holds when queries run on service workers.
 import pytest
 
 from repro import (
+    ExecutionOptions,
     ParallelOptions,
     QueryService,
-    ResourceBudget,
     clear_all_caches,
 )
 from repro.engine import execute_planned
@@ -162,9 +162,7 @@ def test_shutdown_drains_then_rejects(db):
 
 def test_query_errors_propagate_typed(db):
     with QueryService(workers=2) as service:
-        session = service.session(
-            db, budget=ResourceBudget(row_budget=1)
-        )
+        session = service.session(db, options=ExecutionOptions(row_budget=1))
         ticket = service.submit(
             session, "SELECT S.SNO FROM SUPPLIER S, PARTS P"
         )
