@@ -3,8 +3,11 @@
 Two claims for the MVCC write engine:
 
 * **E21a** — commit batching works: loading N rows in one transaction
-  (one conflict check, one key re-validation, one index pass at
-  commit) beats N autocommit single-row transactions on throughput.
+  (one parse, one conflict check, one key re-validation, one publish
+  and reclaim at commit) beats N autocommit single-row transactions on
+  throughput.  Uniqueness checks probe the candidate-key index, so
+  neither mode's per-row cost grows with the table: the gap is the
+  fixed per-statement cost of a commit and a parse.
 * **E21b** — scoped invalidation keeps warm reads warm: the p50 of a
   plan-cached join query stays within 10% of the read-only baseline
   while every read is interleaved with a committed write *to another
@@ -49,8 +52,8 @@ def test_e21a_batched_commit_beats_per_row_autocommit():
     """One transaction per batch beats one transaction per row."""
     report = ExperimentReport(
         experiment="E21a: write throughput, autocommit vs batched commit",
-        claim="a single commit amortizes conflict checks and index "
-        "maintenance over the whole batch",
+        claim="one commit and one parse per batch beat one of each per "
+        "row; per-row key checks are O(1) index probes in both modes",
         columns=["mode", "rows", "t(ms)", "rows/s"],
         slug="e21",
     )
@@ -104,6 +107,12 @@ def test_e21a_batched_commit_beats_per_row_autocommit():
     report.note(
         f"{BULK_ROWS} single-row INSERTs into a keyed table; identical "
         "final state verified in both modes"
+    )
+    report.note(
+        f"batched is {t_autocommit / t_batched:.1f}x autocommit; the gap "
+        "is mostly per-row begin/commit and parse, not table size "
+        "(before the key index, each autocommit INSERT rebuilt the key "
+        "sets from every visible version, which made the load quadratic)"
     )
     report.show()
     assert t_batched < t_autocommit, (

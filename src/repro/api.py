@@ -35,6 +35,7 @@ Quickstart::
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Sequence
 
@@ -100,6 +101,7 @@ def run_statement(
     planner_options: Any | None = None,
     health: Any | None = None,
     on_guard: Any | None = None,
+    statement: Any | None = None,
 ) -> GuardedOutcome:
     """Parse *sql* once and run it for *host* — the one statement dispatch.
 
@@ -116,10 +118,13 @@ def run_statement(
     :func:`run_dml_with_options` inside the host's transaction (or its
     own autocommit one); reads run through :func:`run_with_options`
     against the transaction's pinned snapshot.  The parsed statement
-    travels down with its source text, so nothing below re-parses it.
-    The remaining keywords are forwarded to :func:`run_with_options`.
+    travels down with its source text, so nothing below re-parses it;
+    a caller running one text many times passes the parsed *statement*
+    and it is not parsed at all.  The remaining keywords are forwarded
+    to :func:`run_with_options`.
     """
-    statement = parse(sql)
+    if statement is None:
+        statement = parse(sql)
     if isinstance(statement, _TRANSACTION_CONTROL):
         return apply_transaction_control(statement, host, host.database, stats)
     options = options if options is not None else ExecutionOptions()
@@ -603,16 +608,33 @@ class _LocalBackend:
         self.database = database
         self.plan_cache = plan_cache
         self.transaction = None
+        # (text, parsed statement or None until first run) inside batch().
+        self._batch: tuple[str, Any] | None = None
 
     def run(
         self, sql: str, params: dict | None, options: ExecutionOptions
     ) -> ExecutedQuery:
+        statement = None
+        if self._batch is not None and self._batch[0] == sql:
+            if self._batch[1] is None:
+                self._batch = (sql, parse(sql))
+            statement = self._batch[1]
         return executed_from_outcome(
             run_statement(
                 sql, self, params=params, options=options,
-                plan_cache=self.plan_cache,
+                plan_cache=self.plan_cache, statement=statement,
             )
         )
+
+    @contextmanager
+    def batch(self, sql: str) -> Iterator[None]:
+        """Within the block, *sql* is parsed at most once, on its first
+        run (``Cursor.executemany``)."""
+        self._batch = (sql, None)
+        try:
+            yield
+        finally:
+            self._batch = None
 
     def transaction_for(self, options: ExecutionOptions) -> Any:
         """The transaction the next statement runs in; with autocommit
@@ -746,6 +768,7 @@ class Cursor:
     ) -> "Cursor":
         """Execute *sql* once per parameter set (DB-API ``executemany``).
 
+        A local connection parses *sql* once for the whole batch.
         After the call :attr:`rowcount` is the *sum* of the per-set
         affected rows and the fetchable result is the last execution's.
         The statements are not implicitly atomic — open a transaction
@@ -754,11 +777,12 @@ class Cursor:
         """
         total = 0
         last: ExecutedQuery | None = None
-        for params in seq_of_params:
-            self.execute(sql, params, **kwargs)
-            assert self._executed is not None
-            total += max(self._executed.rowcount, 0)
-            last = self._executed
+        with self.connection._backend.batch(sql):
+            for params in seq_of_params:
+                self.execute(sql, params, **kwargs)
+                assert self._executed is not None
+                total += max(self._executed.rowcount, 0)
+                last = self._executed
         if last is None:  # zero parameter sets: a completed empty batch
             last = ExecutedQuery(columns=[], rows=[], sql=sql)
         last.rowcount = total

@@ -21,6 +21,14 @@ buffered*, so a statement never observes its own effects — and a
 constraint failure mid-statement restores the transaction to its
 pre-statement state (statement atomicity) via
 :meth:`Transaction.savepoint`.
+
+The candidate rows are every visible version plus the pending inserts,
+unless the WHERE binds a candidate key: when its ``column =
+literal/host-variable`` conjuncts (the planner's index-probe shape)
+cover one, Theorem 1 says at most one row per snapshot can match, so
+the committed candidates come from one probe of the version-aware key
+index instead of a scan.  Both engines then evaluate the *full* WHERE
+on those candidates, so the affected rows are the scan's exactly.
 """
 
 from __future__ import annotations
@@ -33,10 +41,11 @@ from ..errors import (
     MissingHostVariableError,
 )
 from ..sql.ast import Assignment, Delete, Dml, Insert, Update
-from ..sql.expressions import HostVar
-from ..types.values import NULL
+from ..sql.expressions import HostVar, conjuncts, contains_subquery, host_vars
+from ..types.values import NULL, row_sort_key
 from .columnar import batches_from_rows, compile_batch_filter
 from .operators.base import ExecContext, PlanNode
+from .planner import constant_equality
 from .schema import RelSchema, Scope
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,20 +73,66 @@ class DmlNode(PlanNode):
 
     # -- matching helpers ------------------------------------------------
 
-    def _candidates(self, txn: "Transaction"):
+    def _candidates(self, ctx: ExecContext, txn: "Transaction", where):
         """Every row this statement may touch, with its write handle:
         ``(version-or-None, row)`` — a version for committed rows, None
-        for the transaction's own pending inserts."""
-        pairs = [
-            (version, version.row)
-            for version in txn.visible_versions(self.table)
-        ]
+        for the transaction's own pending inserts.  A key-bound WHERE
+        narrows the committed rows to one index probe."""
+        versions = self._key_probe(ctx, txn, where)
+        if versions is None:
+            versions = txn.visible_versions(self.table)
+        else:
+            ctx.stats.index_probes += 1
+        pairs = [(version, version.row) for version in versions]
         pairs.extend((None, row) for row in txn.pending_inserts(self.table))
         return pairs
 
+    def _key_probe(self, ctx: ExecContext, txn: "Transaction", where):
+        """The visible versions a key-bound WHERE can match, or None.
+
+        When ``column = literal/host-variable`` conjuncts cover a
+        candidate key, only versions carrying that key can satisfy the
+        WHERE (Theorem 1: at most one per snapshot), so the probe
+        replaces the scan; the caller still evaluates the *full* WHERE
+        on what it returns.  None — scan instead — when no key is
+        covered, a constant is a Boolean (``TRUE = 1`` holds, but the
+        index keys the two apart), or the WHERE has an unbound host
+        variable or a subquery (whose variables are out of sight here):
+        the scan raises for an unbound variable whenever a row reaches
+        it, and the statement must raise alike.
+        """
+        if where is None or contains_subquery(where):
+            return None
+        params = ctx.evaluator.params
+        if any(var.name not in params for var in host_vars(where)):
+            return None
+        data = txn.database.table(self.table)
+        bound: dict[str, object] = {}
+        for conjunct in conjuncts(where):
+            found = constant_equality(conjunct, self.table, data.schema)
+            if found is not None:
+                bound.setdefault(*found)
+        for position, key in enumerate(data.schema.candidate_keys):
+            if not all(column in bound for column in key.columns):
+                continue
+            values = []
+            for column in key.columns:
+                const = bound[column]
+                if isinstance(const, HostVar):
+                    value = params[const.name]
+                else:
+                    value = const.value
+                if isinstance(value, bool):
+                    return None
+                values.append(value)
+            return txn.visible_key_versions(
+                data, position, row_sort_key(values)
+            )
+        return None
+
     def _matching(self, ctx: ExecContext, txn: "Transaction", where):
         """Candidate pairs whose WHERE verdict is definitely TRUE."""
-        pairs = self._candidates(txn)
+        pairs = self._candidates(ctx, txn, where)
         if where is None:
             if pairs:
                 ctx.tick(len(pairs))

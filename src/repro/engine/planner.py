@@ -67,6 +67,32 @@ from .result import Result
 from .stats import Stats
 
 
+def constant_equality(
+    conjunct: Expr, alias: str, schema: TableSchema
+) -> tuple[str, Expr] | None:
+    """Match ``column = constant`` against the table scanned as *alias*.
+
+    Returns (column name, constant expression) or None.  NULL literals
+    still match: the index probe returns no rows, exactly what
+    evaluating ``column = NULL`` row-by-row would keep.
+    """
+    if not isinstance(conjunct, Comparison) or conjunct.op != "=":
+        return None
+    for ref, const in (
+        (conjunct.left, conjunct.right),
+        (conjunct.right, conjunct.left),
+    ):
+        if not isinstance(ref, ColumnRef):
+            continue
+        if not isinstance(const, (Literal, HostVar)):
+            continue
+        if ref.qualifier is not None and ref.qualifier != alias:
+            continue
+        if ref.column in schema.column_names:
+            return ref.column, const
+    return None
+
+
 @dataclass(frozen=True)
 class PlannerOptions:
     """Strategy knobs for physical planning.
@@ -347,7 +373,7 @@ class Planner:
 
         probes: dict[str, tuple[Expr, Expr]] = {}  # column -> (conjunct, const)
         for conjunct in local:
-            found = self._constant_equality(conjunct, scan, schema)
+            found = constant_equality(conjunct, scan.alias, schema)
             if found is None:
                 continue
             column, const = found
@@ -379,32 +405,6 @@ class Planner:
             key_exprs,
             conjoin(residual) if residual else None,
         )
-
-    @staticmethod
-    def _constant_equality(
-        conjunct: Expr, scan: SeqScan, schema: TableSchema
-    ) -> tuple[str, Expr] | None:
-        """Match ``column = constant`` against *scan*'s table.
-
-        Returns (column name, constant expression) or None.  NULL
-        literals still match: the index probe returns no rows, exactly
-        what evaluating ``column = NULL`` row-by-row would keep.
-        """
-        if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-            return None
-        for ref, const in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if not isinstance(ref, ColumnRef):
-                continue
-            if not isinstance(const, (Literal, HostVar)):
-                continue
-            if ref.qualifier is not None and ref.qualifier != scan.alias:
-                continue
-            if ref.column in schema.column_names:
-                return ref.column, const
-        return None
 
     def _qualifier_columns(
         self, scans: dict[str, SeqScan]

@@ -10,6 +10,7 @@ value, so at most one row may carry any given (possibly NULL) key.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..catalog.table import TableSchema
@@ -30,15 +31,28 @@ class TableData:
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self.rows: list[tuple] = []
-        #: MVCC row versions, append-only plus xmax stamping under the
-        #: transaction manager's commit lock.  ``rows`` is always the
-        #: materialization of the live versions (``xmax is None``), so
-        #: the read fast path never pays a visibility check.
+        #: MVCC row versions: appended and xmax-stamped under the
+        #: transaction manager's commit lock, with reclaimed dead
+        #: versions compacted away (see :meth:`reclaim`).  ``rows`` is
+        #: always the materialization of the live versions (``xmax is
+        #: None``), so the read fast path never pays a visibility check.
         self.versions: list[RowVersion] = []
-        # One uniqueness index per declared key: canonical key-tuple -> row.
-        self._key_indexes: list[dict[tuple, tuple]] = [
+        # One uniqueness index per declared key: canonical key-tuple ->
+        # the live version carrying it.  Candidate keys make each entry
+        # a single slot (the paper's Theorem 1).
+        self._key_indexes: list[dict[tuple, RowVersion]] = [
             {} for _ in schema.candidate_keys
         ]
+        # Deleted versions some open snapshot may still see, per key:
+        # canonical key-tuple -> versions (immutable tuples, replaced
+        # whole, so a concurrent probe never sees one half-edited).
+        self._dead_keys: list[dict[tuple, tuple[RowVersion, ...]]] = [
+            {} for _ in schema.candidate_keys
+        ]
+        # The same deleted versions in commit order, for reclaim.
+        self._dead: deque[RowVersion] = deque()
+        # Reclaimed versions still listed in ``versions`` (see reclaim).
+        self._reclaimed = 0
         # General hash indexes, built lazily per column tuple and then
         # maintained incrementally: canonical key -> rows in insertion
         # order (non-unique columns map to multi-row buckets).
@@ -210,9 +224,10 @@ class TableData:
             self._check_not_null(row)
             self._check_conditions(row, evaluator)
             self._check_keys(row)
+        version = RowVersion(row)
         self.rows.append(row)
-        self.versions.append(RowVersion(row))
-        self._index_row(row)
+        self.versions.append(version)
+        self._index_row(version)
         return row
 
     def insert_mapping(
@@ -252,8 +267,10 @@ class TableData:
         """Delete every row (and reset the key and hash indexes)."""
         self.rows.clear()
         self.versions.clear()
-        for index in self._key_indexes:
+        for index in self._key_indexes + self._dead_keys:
             index.clear()
+        self._dead.clear()
+        self._reclaimed = 0
         with self._index_lock:
             for hash_index in self._hash_indexes.values():
                 hash_index.clear()
@@ -273,13 +290,31 @@ class TableData:
                 return row_sort_key(values) in index
         return None
 
+    def key_versions(self, position: int, key: tuple) -> list[RowVersion]:
+        """Stored versions carrying *key* in candidate key *position*.
+
+        The deleted versions some snapshot may still see come first,
+        then the live one, so the list follows ``versions`` order.  The
+        live slot is read before the side map: a commit moving a version
+        across adds it to the side map before clearing the slot, so a
+        concurrent probe finds it in one place or both, never neither.
+        """
+        live = self._key_indexes[position].get(key)
+        found = list(self._dead_keys[position].get(key, ()))
+        if live is not None and not any(v is live for v in found):
+            found.append(live)
+        return found
+
     def remove_last(self) -> tuple:
         """Undo the most recent insert (row and all index entries)."""
         row = self.rows.pop()
         if self.versions and self.versions[-1].row is row:
             self.versions.pop()
         for key, index in zip(self.schema.candidate_keys, self._key_indexes):
-            index.pop(self._key_tuple(key.columns, row), None)
+            kt = self._key_tuple(key.columns, row)
+            live = index.get(kt)
+            if live is not None and live.row is row:
+                del index[kt]
         with self._index_lock:
             for columns, hash_index in self._hash_indexes.items():
                 key = self._key_tuple(columns, row)
@@ -303,30 +338,41 @@ class TableData:
         """Publish one transaction's writes to this table as a batch.
 
         Runs under the transaction manager's commit lock.  Deleted
-        versions get their ``xmax`` stamp, inserted rows become live
-        versions stamped ``xmin=xid``, and the committed row list is
-        rebuilt and swapped in one reference assignment — a concurrent
-        reader sees the whole commit or none of it.  Key and hash
+        versions get their ``xmax`` stamp and move from the key index
+        to its side map (older snapshots may still see them), inserted
+        rows become live versions stamped ``xmin=xid``, and the
+        committed row list is copied, edited and swapped in one
+        reference assignment — a concurrent reader sees the whole
+        commit or none of it.  Nothing walks ``versions``.  Key and hash
         indexes are maintained as one deferred batch (never touched at
         statement time), and the data version bumps exactly once, which
         is what keeps invalidation scoped to touched tables.
         """
         for version in deletes:
             version.xmax = xid
-        if deletes:
-            new_rows = [v.row for v in self.versions if v.xmax is None]
-        else:
-            new_rows = list(self.rows)
         fresh = [RowVersion(tuple(row), xmin=xid) for row in inserts]
-        self.versions.extend(fresh)
-        new_rows.extend(version.row for version in fresh)
-        self.rows = new_rows
-        # Batched index maintenance: one pass over the write set.
-        for key, index in zip(self.schema.candidate_keys, self._key_indexes):
+        for key, index, dead in zip(
+            self.schema.candidate_keys, self._key_indexes, self._dead_keys
+        ):
             for version in deletes:
-                index.pop(self._key_tuple(key.columns, version.row), None)
+                kt = self._key_tuple(key.columns, version.row)
+                dead[kt] = dead.get(kt, ()) + (version,)
+                if index.get(kt) is version:
+                    del index[kt]
             for version in fresh:
-                index[self._key_tuple(key.columns, version.row)] = version.row
+                index[self._key_tuple(key.columns, version.row)] = version
+        self._dead.extend(deletes)
+        # A few deletes: one C-level search each; many: one identity pass.
+        if len(deletes) > 8:
+            gone = {id(version.row) for version in deletes}
+            new_rows = [row for row in self.rows if id(row) not in gone]
+        else:
+            new_rows = self.rows.copy()
+            for version in deletes:
+                new_rows.remove(version.row)
+        new_rows.extend(version.row for version in fresh)
+        self.versions.extend(fresh)
+        self.rows = new_rows
         with self._index_lock:
             for columns, hash_index in self._hash_indexes.items():
                 for version in deletes:
@@ -344,6 +390,37 @@ class TableData:
                         self._key_tuple(columns, version.row), []
                     ).append(version.row)
         self.version += 1
+
+    def reclaim(self, horizon: int) -> None:
+        """Drop the deleted versions no open snapshot can see.
+
+        Runs under the commit lock.  A version deleted by a transaction
+        below *horizon* (the manager's oldest xid still active in, or
+        after, any open snapshot) is invisible to every open and future
+        snapshot.  Reclaimed versions leave the key side map at once and
+        ``versions`` in amortized batches; the compacted list is swapped
+        in by one reference assignment, so a concurrent
+        :meth:`~repro.engine.txn.Transaction.visible_versions` walk keeps
+        the list it started on.
+        """
+        dead = self._dead
+        while dead and dead[0].xmax < horizon:
+            version = dead.popleft()
+            for key, side in zip(self.schema.candidate_keys, self._dead_keys):
+                kt = self._key_tuple(key.columns, version.row)
+                kept = tuple(v for v in side.get(kt, ()) if v is not version)
+                if kept:
+                    side[kt] = kept
+                else:
+                    side.pop(kt, None)
+            self._reclaimed += 1
+        # Compact once reclaimed versions pass 1/16 of the list (plus
+        # slack for small tables): amortized O(1) per reclaimed version.
+        if self._reclaimed > 16 + len(self.versions) // 16:
+            self.versions = [
+                v for v in self.versions if v.xmax is None or v.xmax >= horizon
+            ]
+            self._reclaimed = 0
 
     # ------------------------------------------------------------------
     # validation
@@ -394,9 +471,10 @@ class TableData:
             if key_value in index:
                 raise UniquenessViolationError(self.schema.name, key.describe())
 
-    def _index_row(self, row: tuple) -> None:
+    def _index_row(self, version: RowVersion) -> None:
+        row = version.row
         for key, index in zip(self.schema.candidate_keys, self._key_indexes):
-            index[self._key_tuple(key.columns, row)] = row
+            index[self._key_tuple(key.columns, row)] = version
         with self._index_lock:
             for columns, hash_index in self._hash_indexes.items():
                 hash_index.setdefault(

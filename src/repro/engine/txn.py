@@ -11,8 +11,18 @@ deleter (if any) did not.
 Writes never touch shared state until commit: each
 :class:`Transaction` buffers inserted rows and to-be-deleted version
 references per table, so rollback is simply dropping the buffers —
-nothing to undo, nothing for a reader to ever glimpse.  Commit runs
-under the manager's single commit lock:
+nothing to undo, nothing for a reader to ever glimpse.  Every buffered
+write also logs its inverse, so statement atomicity is a mark in that
+log (:meth:`Transaction.savepoint`) and a failed statement unwinds only
+its own writes.
+
+Online uniqueness and FOREIGN KEY checks cost O(keys), not O(table):
+each table keeps one version-aware index per candidate key (key →
+live :class:`RowVersion`, plus a side map of deleted versions an open
+snapshot may still see).  A key is taken under a transaction's view
+when an index entry is visible to its snapshot and not among its own
+deletes, or when one of its own pending inserts carries it.  Commit
+runs under the manager's single commit lock:
 
 1. the ``wal_commit`` fault site fires *first* (an injected failure
    aborts cleanly — shared state has not moved);
@@ -24,9 +34,13 @@ under the manager's single commit lock:
    snapshot was invisible to the statement-time check) →
    :class:`~repro.errors.UniquenessViolationError`;
 4. the buffered writes apply atomically per table — versions stamped,
-   the committed row list swapped copy-on-write, hash/key indexes
-   maintained as one batch — and only the *touched* tables bump their
-   data versions.
+   deleted ones moved to the key index's side map, the committed row
+   list swapped copy-on-write, hash/key indexes maintained as one
+   batch — and only the *touched* tables bump their data versions;
+5. dead versions are reclaimed against the horizon, the oldest xid
+   still active in, or after, any open snapshot: a version deleted
+   below it is invisible to every open and future snapshot, so it
+   leaves the side map at once and ``versions`` in amortized batches.
 
 That last point is the incremental-invalidation contract: fingerprints
 of untouched tables do not move, so plan-cache / uniqueness-memo /
@@ -122,7 +136,9 @@ class TransactionManager:
         self._database = database
         self._lock = threading.Lock()
         self._next_id = 1
-        self._active: set[int] = set()
+        # Active xid -> the oldest xid its snapshot cannot see committed
+        # (its own, or the oldest one active at its begin).
+        self._active: dict[int, int] = {}
         #: Lifetime counters, exposed for observability and tests.
         self.begun = 0
         self.committed = 0
@@ -135,13 +151,20 @@ class TransactionManager:
             xid = self._next_id
             self._next_id += 1
             snapshot = Snapshot(xid - 1, frozenset(self._active))
-            self._active.add(xid)
+            self._active[xid] = min(self._active, default=xid)
             self.begun += 1
         return Transaction(self._database, self, xid, snapshot)
 
+    def horizon(self) -> int:
+        """The reclaim horizon: the oldest xid still active in, or
+        after, any open snapshot.  A version deleted by a transaction
+        below it is invisible to every open and every future snapshot.
+        Call under the manager lock."""
+        return min(self._active.values(), default=self._next_id)
+
     def _finish(self, xid: int, committed: bool) -> None:
         with self._lock:
-            self._active.discard(xid)
+            self._active.pop(xid, None)
             if committed:
                 self.committed += 1
             else:
@@ -185,11 +208,12 @@ class Transaction:
         self._inserts: dict[str, list[tuple]] = {}
         self._deletes: dict[str, list[RowVersion]] = {}
         self._deleted_ids: dict[str, set[int]] = {}
-        # Per-table candidate-key occupancy under this transaction's
-        # view (snapshot + own writes), built lazily on first write to
-        # a table and maintained incrementally — the online uniqueness
-        # check is O(keys) per row, not O(table).
-        self._key_sets: dict[str, list[dict[tuple, int]]] = {}
+        # Per-table candidate-key counts of the own pending inserts: the
+        # delta the shared key index does not hold yet.
+        self._pending_keys: dict[str, list[dict[tuple, int]]] = {}
+        # Inverse of every buffered write, newest last; a savepoint is a
+        # length of this log (see :meth:`restore`).
+        self._undo: list[tuple] = []
         self._view: TransactionView | None = None
 
     # ------------------------------------------------------------------
@@ -207,7 +231,11 @@ class Transaction:
 
     def touched_tables(self) -> list[str]:
         """Tables with buffered writes, sorted."""
-        return sorted(set(self._inserts) | set(self._deletes))
+        return sorted(
+            name
+            for name in set(self._inserts) | set(self._deletes)
+            if self._inserts.get(name) or self._deletes.get(name)
+        )
 
     def view(self) -> "TransactionView":
         """The database as this transaction sees it."""
@@ -228,6 +256,28 @@ class Transaction:
             if id(version) not in deleted and sees(version):
                 yield version
 
+    def visible_key_versions(
+        self, data: "TableData", position: int, key: tuple
+    ) -> list[RowVersion]:
+        """Shared versions visible to this transaction that carry *key*
+        in candidate key *position*, own deletes excluded — an index
+        probe with the same answer as filtering :meth:`visible_versions`."""
+        deleted = self._deleted_ids.get(data.schema.name, ())
+        sees = self.snapshot.sees
+        return [
+            version
+            for version in data.key_versions(position, key)
+            if id(version) not in deleted and sees(version)
+        ]
+
+    def has_key(self, data: "TableData", position: int, key: tuple) -> bool:
+        """Whether *key* is taken in candidate key *position* under this
+        transaction's view: a visible shared version or a pending insert."""
+        counts = self._pending_keys.get(data.schema.name)
+        if counts is not None and counts[position].get(key):
+            return True
+        return bool(self.visible_key_versions(data, position, key))
+
     def pending_inserts(self, table: str) -> list[tuple]:
         return self._inserts.get(table.upper(), [])
 
@@ -245,43 +295,28 @@ class Transaction:
         name = data.schema.name
         row = tuple(values)
         data.validate_row(row)
-        self._check_unique(data, name, row)
+        for position, key in enumerate(data.schema.candidate_keys):
+            if self.has_key(data, position, data._key_tuple(key.columns, row)):
+                raise UniquenessViolationError(name, key.describe())
         from .database import Database  # local import breaks the cycle
 
         Database._check_foreign_keys(self.view(), data.schema, row)
         self._inserts.setdefault(name, []).append(row)
-        for key_set, key in zip(
-            self._key_sets[name], data.schema.candidate_keys
-        ):
-            kt = data._key_tuple(key.columns, row)
-            key_set[kt] = key_set.get(kt, 0) + 1
-        self.change_count += 1
-        self._invalidate_view(name)
+        self._count_keys(data, row, 1)
+        self._logged(("insert", name))
         return row
 
     def delete_version(self, table: str, version: RowVersion) -> bool:
         """Buffer the delete of one visible version; False if already
         buffered (deleting a row twice in one transaction is a no-op)."""
         self._require_active("delete")
-        data = self.database.table(table)
-        name = data.schema.name
+        name = self.database.table(table).schema.name
         deleted = self._deleted_ids.setdefault(name, set())
         if id(version) in deleted:
             return False
-        self._ensure_key_sets(data, name)
         deleted.add(id(version))
         self._deletes.setdefault(name, []).append(version)
-        for key_set, key in zip(
-            self._key_sets[name], data.schema.candidate_keys
-        ):
-            kt = data._key_tuple(key.columns, version.row)
-            count = key_set.get(kt, 0) - 1
-            if count <= 0:
-                key_set.pop(kt, None)
-            else:
-                key_set[kt] = count
-        self.change_count += 1
-        self._invalidate_view(name)
+        self._logged(("delete", name))
         return True
 
     def delete_pending_insert(self, table: str, row: tuple) -> bool:
@@ -293,38 +328,33 @@ class Transaction:
         pending = self._inserts.get(name)
         if not pending or row not in pending:
             return False
-        pending.remove(row)
-        for key_set, key in zip(
-            self._key_sets[name], data.schema.candidate_keys
-        ):
-            kt = data._key_tuple(key.columns, row)
-            count = key_set.get(kt, 0) - 1
-            if count <= 0:
-                key_set.pop(kt, None)
-            else:
-                key_set[kt] = count
-        self.change_count += 1
-        self._invalidate_view(name)
+        position = pending.index(row)
+        del pending[position]
+        self._count_keys(data, row, -1)
+        self._logged(("unpend", name, position, row))
         return True
 
-    def _ensure_key_sets(self, data: "TableData", name: str) -> None:
-        if name in self._key_sets:
+    def _count_keys(self, data: "TableData", row: tuple, delta: int) -> None:
+        """Move the pending-insert key counts of *row* by *delta*."""
+        keys = data.schema.candidate_keys
+        if not keys:
             return
-        key_sets: list[dict[tuple, int]] = [
-            {} for _ in data.schema.candidate_keys
-        ]
-        if key_sets:
-            for version in self.visible_versions(name):
-                for key_set, key in zip(key_sets, data.schema.candidate_keys):
-                    kt = data._key_tuple(key.columns, version.row)
-                    key_set[kt] = key_set.get(kt, 0) + 1
-        self._key_sets[name] = key_sets
+        counts = self._pending_keys.get(data.schema.name)
+        if counts is None:
+            counts = self._pending_keys[data.schema.name] = [{} for _ in keys]
+        for key_counts, key in zip(counts, keys):
+            kt = data._key_tuple(key.columns, row)
+            count = key_counts.get(kt, 0) + delta
+            if count:
+                key_counts[kt] = count
+            else:
+                del key_counts[kt]
 
-    def _check_unique(self, data: "TableData", name: str, row: tuple) -> None:
-        self._ensure_key_sets(data, name)
-        for key_set, key in zip(self._key_sets[name], data.schema.candidate_keys):
-            if data._key_tuple(key.columns, row) in key_set:
-                raise UniquenessViolationError(name, key.describe())
+    def _logged(self, entry: tuple) -> None:
+        """Record the inverse of one buffered write and publish it."""
+        self._undo.append(entry)
+        self.change_count += 1
+        self._invalidate_view(entry[1])
 
     def _invalidate_view(self, table: str) -> None:
         if self._view is not None:
@@ -333,29 +363,33 @@ class Transaction:
     # ------------------------------------------------------------------
     # statement atomicity
 
-    def savepoint(self) -> dict:
-        """A copy of the buffered write state, for statement rollback."""
-        return {
-            "inserts": {k: list(v) for k, v in self._inserts.items()},
-            "deletes": {k: list(v) for k, v in self._deletes.items()},
-            "deleted_ids": {k: set(v) for k, v in self._deleted_ids.items()},
-            "key_sets": {
-                k: [dict(d) for d in v] for k, v in self._key_sets.items()
-            },
-            "change_count": self.change_count,
-        }
+    def savepoint(self) -> int:
+        """A mark in the undo log, for statement rollback (O(1))."""
+        return len(self._undo)
 
-    def restore(self, state: dict) -> None:
-        """Restore the buffers saved by :meth:`savepoint` (a failed
-        statement leaves the transaction exactly as it found it)."""
-        touched = set(self._inserts) | set(self._deletes)
-        self._inserts = state["inserts"]
-        self._deletes = state["deletes"]
-        self._deleted_ids = state["deleted_ids"]
-        self._key_sets = state["key_sets"]
-        self.change_count = state["change_count"] + 1
-        for name in touched | set(self._inserts) | set(self._deletes):
+    def restore(self, mark: int) -> None:
+        """Undo every buffered write made after :meth:`savepoint`
+        returned *mark*, newest first — a failed statement leaves the
+        transaction exactly as it found it, at a cost proportional to
+        the statement's own writes."""
+        undo = self._undo
+        while len(undo) > mark:
+            entry = undo.pop()
+            op, name = entry[0], entry[1]
+            data = self.database.table(name)
+            if op == "insert":
+                self._count_keys(data, self._inserts[name].pop(), -1)
+            elif op == "delete":
+                version = self._deletes[name].pop()
+                self._deleted_ids[name].discard(id(version))
+            else:  # "unpend": put the removed pending insert back
+                _, _, position, row = entry
+                self._inserts[name].insert(position, row)
+                self._count_keys(data, row, 1)
             self._invalidate_view(name)
+        # Monotonic, so the view fingerprint never returns to a value
+        # that stood for the rewound state.
+        self.change_count += 1
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -369,13 +403,17 @@ class Transaction:
         self._abort()
 
     def _abort(self) -> None:
-        self._inserts.clear()
-        self._deletes.clear()
-        self._deleted_ids.clear()
-        self._key_sets.clear()
+        self._clear_buffers()
         self.status = "rolled back"
         self.manager._finish(self.xid, committed=False)
         PROCESS_METRICS.inc("txn_rollbacks_total")
+
+    def _clear_buffers(self) -> None:
+        self._inserts.clear()
+        self._deletes.clear()
+        self._deleted_ids.clear()
+        self._pending_keys.clear()
+        self._undo.clear()
 
     def commit(self) -> list[str]:
         """Atomically publish the buffered writes; returns the touched
@@ -408,6 +446,9 @@ class Transaction:
                         self.xid,
                     )
                 self._active_discard_locked(committed=True)
+                horizon = manager.horizon()
+                for name in touched:
+                    self.database.table(name).reclaim(horizon)
         self.status = "committed"
         total = len(self.database.table_names())
         PROCESS_METRICS.inc("txn_commits_total")
@@ -417,17 +458,14 @@ class Transaction:
 
     def _abort_locked(self) -> None:
         """Abort while already holding the manager lock."""
-        self._inserts.clear()
-        self._deletes.clear()
-        self._deleted_ids.clear()
-        self._key_sets.clear()
+        self._clear_buffers()
         self.status = "rolled back"
         self._active_discard_locked(committed=False)
         PROCESS_METRICS.inc("txn_rollbacks_total")
 
     def _active_discard_locked(self, committed: bool) -> None:
         manager = self.manager
-        manager._active.discard(self.xid)
+        manager._active.pop(self.xid, None)
         if committed:
             manager.committed += 1
         else:
@@ -555,9 +593,18 @@ class _TxnTable:
     def has_hash_index(self, columns: tuple[str, ...]) -> bool:
         return columns in self._hash_indexes
 
-    def has_key_value(self, columns: tuple[str, ...], values: tuple):
-        """None: not index-resolvable here — callers fall back to a scan
-        of :attr:`rows`, which is exactly the transactional view."""
+    def has_key_value(
+        self, columns: tuple[str, ...], values: tuple
+    ) -> bool | None:
+        """Whether the transactional view holds a row carrying *values*
+        in *columns*, resolved through the version-aware key index plus
+        the transaction's own pending inserts and deletes.  None when
+        *columns* is not a declared candidate key (scan :attr:`rows`)."""
+        for position, key in enumerate(self.schema.candidate_keys):
+            if key.columns == tuple(columns):
+                return self._txn.has_key(
+                    self.base, position, row_sort_key(values)
+                )
         return None
 
     def column_batches(self, batch_rows: int):

@@ -73,6 +73,17 @@ class TestParsedOnce:
             assert not conn.in_transaction
         assert parse_calls == ["BEGIN", READ_SQL, "COMMIT"]
 
+    def test_executemany_parses_once_per_batch(self, tiny_db, parse_calls):
+        sql = "INSERT INTO SUPPLIER VALUES (:SNO, 'Ezra', 'Chicago', 10, 'Active')"
+        with repro.connect(tiny_db) as conn:
+            cursor = conn.cursor().executemany(
+                sql, [{"SNO": sno} for sno in (9, 10, 11)]
+            )
+            assert cursor.rowcount == 3
+            assert conn.cursor().executemany(READ_SQL, []).rowcount == 0
+            assert conn.execute(READ_SQL).fetchall() == [(2, "Baker")]
+        assert parse_calls == [sql, READ_SQL]
+
     def test_service_read(self, tiny_db, parse_calls):
         with QueryService(workers=1) as service:
             session = service.session(tiny_db)

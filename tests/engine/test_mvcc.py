@@ -13,12 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.dml import execute_dml
 from repro.errors import (
     TransactionError,
     UniquenessViolationError,
     WriteConflictError,
 )
 from repro.observe.metrics import PROCESS_METRICS
+from repro.sql.parser import parse
 
 
 def fresh_db() -> Database:
@@ -217,3 +219,27 @@ class TestSavepoints:
         txn.restore(state)
         txn.commit()
         assert rows(db) == [(1, 10), (2, 20), (3, 30)]
+
+    def test_failed_statement_leaves_the_transaction_exactly_as_before(self):
+        db = fresh_db()
+        txn = db.begin()
+        for key in (3, 4, 5):
+            txn.insert_row("T", (key, key * 10))
+        (first,) = [v for v in txn.visible_versions("T") if v.row[0] == 1]
+        txn.delete_version("T", first)
+        pending, visible = list(txn.pending_inserts("T")), txn_rows(txn)
+        count = txn.change_count
+        # Deletes the committed row 2 and the three pending rows, inserts
+        # (9, 20), then fails on (9, 30): every kind of buffered write
+        # is undone, newest first.
+        with pytest.raises(UniquenessViolationError):
+            execute_dml(parse("UPDATE T SET A = 9"), txn)
+        assert txn.pending_inserts("T") == pending
+        assert txn_rows(txn) == visible
+        assert txn.change_count > count
+        with pytest.raises(UniquenessViolationError):
+            txn.insert_row("T", (4, 0))  # still pending
+        txn.insert_row("T", (9, 0))  # the failed statement's key is free
+        txn.insert_row("T", (1, 0))  # still deleted
+        txn.commit()
+        assert rows(db) == [(1, 0), (2, 20), (3, 30), (4, 40), (5, 50), (9, 0)]

@@ -20,10 +20,12 @@ something it should have kept).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine.database import Database
 from repro.errors import UniquenessViolationError, WriteConflictError
+from repro.types.values import row_sort_key
 
 WRITERS = 3
 KEYS = st.integers(min_value=0, max_value=5)
@@ -174,3 +176,167 @@ def test_concurrent_inserters_never_publish_duplicates(keys):
         except UniquenessViolationError:
             pass
     _committed(db)  # asserts key uniqueness internally
+
+
+# ---------------------------------------------------------------------------
+# reclaim interleavings
+#
+# Every commit reclaims the deleted versions below the manager's horizon
+# (the oldest xid still active in, or after, any open snapshot).  These
+# schedules pin readers at random points while writers churn a few hot
+# keys, and check after every step that each pinned reader still finds
+# exactly its begin-time state — through the key index (live slot plus
+# side map) and through its full view — so reclaim never drops a
+# version some open snapshot can see.
+
+RECLAIM_OP = st.one_of(
+    OP,
+    st.tuples(st.just("upd"), KEYS, st.integers(min_value=0, max_value=99)),
+    st.tuples(st.just("pin")),
+    st.tuples(st.just("unpin")),
+)
+RECLAIM_SCHEDULE = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=WRITERS - 1), RECLAIM_OP),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _key_state(txn, data) -> dict[int, int]:
+    """What *txn* sees of every key, read through the key index."""
+    state = {}
+    for key in range(6):
+        versions = txn.visible_key_versions(data, 0, row_sort_key((key,)))
+        assert len(versions) <= 1, "a snapshot sees one version per key"
+        if versions:
+            state[key] = versions[0].row[1]
+    return state
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(schedule=RECLAIM_SCHEDULE)
+def test_reclaim_never_drops_a_version_a_pinned_snapshot_sees(schedule):
+    db = _fresh()
+    data = db.table("T")
+    model = _committed(db)
+    open_txns: dict[int, object] = {}
+    deleted: dict[int, list] = {}
+    readers: list[tuple[object, dict]] = []
+
+    for writer, op in schedule:
+        txn = open_txns.get(writer)
+        if op[0] == "pin":
+            readers.append((db.begin(), dict(model)))
+        elif op[0] == "unpin":
+            if readers:
+                reader, expected = readers.pop(0)
+                observed = {r[0]: r[1] for r in reader.view().table("T").rows}
+                assert observed == expected
+                reader.rollback()
+        elif op[0] in ("commit", "rollback"):
+            if txn is not None:
+                if op[0] == "commit":
+                    _commit(txn, deleted[writer], model)
+                else:
+                    txn.rollback()
+                del open_txns[writer]
+        else:
+            if txn is None:
+                txn = open_txns[writer] = db.begin()
+                deleted[writer] = []
+            if op[0] == "upd":  # UPDATE: delete then re-insert the key
+                _apply(db, txn, deleted[writer], ("del", op[1]))
+                _apply(db, txn, deleted[writer], ("put", op[1], op[2]))
+            else:
+                _apply(db, txn, deleted[writer], op)
+        for reader, expected in readers:
+            assert _key_state(reader, data) == expected
+
+    for writer, txn in list(open_txns.items()):
+        _commit(txn, deleted[writer], model)
+    for reader, expected in readers:
+        observed = {r[0]: r[1] for r in reader.view().table("T").rows}
+        assert observed == expected
+        reader.rollback()
+    assert _committed(db) == model
+
+    # With no snapshot open, the next commit reclaims every dead
+    # version: each key's index entry is its live version alone.
+    closer = db.begin()
+    closer.insert_row("T", (99, 0))
+    closer.commit()
+    for key in range(6):
+        found = data.key_versions(0, row_sort_key((key,)))
+        assert [v.row[1] for v in found] == (
+            [model[key]] if key in model else []
+        )
+        assert all(v.xmax is None for v in found)
+
+
+def test_reclaim_spares_the_pinned_reader_then_drops_the_rest():
+    db = _fresh()
+    data = db.table("T")
+    reader = db.begin()
+    for value in range(100):
+        writer = db.begin()
+        (version,) = writer.visible_key_versions(data, 0, row_sort_key((0,)))
+        writer.delete_version("T", version)
+        writer.insert_row("T", (0, value))
+        writer.commit()
+    # The reader's version of key 0 survived 100 commits' reclaim.
+    assert _key_state(reader, data) == {0: 1000, 1: 1001}
+    assert sorted(reader.view().table("T").rows) == [(0, 1000), (1, 1001)]
+    reader.rollback()
+    closer = db.begin()
+    closer.insert_row("T", (5, 5))
+    closer.commit()
+    assert [v.row for v in data.key_versions(0, row_sort_key((0,)))] == [(0, 99)]
+    assert len(data.versions) <= len(data.rows) + 32
+
+
+def test_reclaim_waits_for_snapshots_that_saw_the_deleter_active():
+    """A reader that began while the deleter was active never sees the
+    delete, even though the deleter's xid is below the reader's own."""
+    db = _fresh()
+    data = db.table("T")
+    deleter = db.begin()
+    reader = db.begin()
+    (old,) = deleter.visible_key_versions(data, 0, row_sort_key((0,)))
+    deleter.delete_version("T", old)
+    deleter.commit()
+    assert _key_state(reader, data) == {0: 1000, 1: 1001}
+    assert old in data.versions
+    reader.rollback()
+
+
+def test_conflicts_are_still_raised_over_reclaimed_state():
+    db = _fresh()
+    data = db.table("T")
+    pinned = db.begin()
+    updater = db.begin()
+    (old,) = updater.visible_key_versions(data, 0, row_sort_key((0,)))
+    updater.delete_version("T", old)
+    updater.insert_row("T", (0, 7))
+    updater.commit()
+    # The pinned transaction still sees the old version of key 0 (kept
+    # in the side map), so re-inserting the key is a violation at once,
+    # and deleting the old version loses to the committed update.
+    with pytest.raises(UniquenessViolationError):
+        pinned.insert_row("T", (0, 8))
+    (seen,) = pinned.visible_key_versions(data, 0, row_sort_key((0,)))
+    assert seen is old
+    pinned.delete_version("T", seen)
+    with pytest.raises(WriteConflictError):
+        pinned.commit()
+
+    first, second = db.begin(), db.begin()
+    first.insert_row("T", (9, 1))
+    first.commit()
+    second.insert_row("T", (9, 2))  # invisible to second's snapshot
+    with pytest.raises(UniquenessViolationError):
+        second.commit()
+    assert sorted(db.table("T").rows) == [(0, 7), (1, 1001), (9, 1)]
