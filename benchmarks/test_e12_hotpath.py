@@ -1,20 +1,21 @@
-"""E12 — hot-path acceleration: compiled predicates, caches, indexes.
+"""E12 — hot-path acceleration: caches and indexes.
 
-Three mechanisms attack the engine's interpretive overheads:
+Two mechanisms attack the engine's interpretive overheads:
 
 * analysis/plan caches keyed on catalog/database fingerprints (the E10
   batch audit re-analyzes identical template text every round),
 * hash-index probes replacing full inner-table re-scans in correlated
-  subqueries and ``key = constant`` scans,
-* predicate compilation to row closures, removing per-row Scope
-  allocation and recursive dispatch from Filter/join residuals.
+  subqueries and ``key = constant`` scans.
+
+Compiled predicates are the columnar engine's business: E17a gates the
+batch-kernel selection path against the interpreter.
 
 Every table in this module lands in ``BENCH_hotpath.json``.
 """
 
 from repro import Stats, clear_all_caches, set_caches_enabled, test_uniqueness
 from repro.bench import ExperimentReport, speedup, timed
-from repro.engine import PlanCache, execute_planned, set_compilation_enabled
+from repro.engine import PlanCache, execute_planned
 from repro.workloads import SupplierScale, build_database, generate
 
 # The E10 CASE-tool audit templates (5 provably redundant, 5 required).
@@ -227,56 +228,3 @@ def test_e12_keyed_lookup_plan_cache(benchmark, bench_db):
         )
     )
     assert len(result.rows) == 1
-
-
-def test_e12_compiled_predicates(benchmark, bench_db):
-    """Filter predicates run as closures, matching the interpreter."""
-    sql = (
-        "SELECT P.PNO, P.PNAME FROM PARTS P "
-        "WHERE P.COLOR = :C AND P.PNO > 100 AND P.PNAME <> 'NONE'"
-    )
-    params = {"C": "RED"}
-
-    previous = set_compilation_enabled(False)
-    try:
-        interp_stats = Stats()
-        interpreted, t_interp = timed(
-            lambda: execute_planned(sql, bench_db, params=params, stats=interp_stats)
-        )
-    finally:
-        set_compilation_enabled(previous)
-    compiled_stats = Stats()
-    compiled, t_compiled = timed(
-        lambda: execute_planned(sql, bench_db, params=params, stats=compiled_stats)
-    )
-
-    report = ExperimentReport(
-        experiment="E12d: interpreted vs compiled predicate evaluation",
-        claim="compiling the WHERE clause removes per-row Scope "
-        "allocation and recursive dispatch",
-        columns=["mode", "predicate_evals", "compiled_evals", "t(s)", "speedup"],
-        slug="hotpath",
-    )
-    report.add_row(
-        "interpreted",
-        interp_stats.predicate_evals,
-        interp_stats.compiled_evals,
-        t_interp,
-        1.0,
-    )
-    report.add_row(
-        "compiled",
-        compiled_stats.predicate_evals,
-        compiled_stats.compiled_evals,
-        t_compiled,
-        speedup(t_interp, t_compiled),
-    )
-    report.show()
-
-    assert interpreted.same_rows(compiled)
-    assert interp_stats.compiled_evals == 0
-    assert compiled_stats.predicates_compiled >= 1
-    assert compiled_stats.compiled_evals == compiled_stats.predicate_evals > 0
-
-    result = benchmark(lambda: execute_planned(sql, bench_db, params=params))
-    assert result.same_rows(compiled)

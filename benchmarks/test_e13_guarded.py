@@ -9,10 +9,10 @@ a no-op binding, and safe mode only pays for a cross-check on sampled
 executions of rewritten queries.
 
 The workload is the E12 warm path: templated keyed lookups (E12c),
-compiled filter scans (E12d), and a correlated EXISTS probe (E12b),
-all with warm plan/analysis caches.  Two isolated comparisons, each
-measured *interleaved* (alternating the two arms batch-by-batch) so
-machine drift hits both arms equally:
+filter scans (vectorized under the default engine mode), and a
+correlated EXISTS probe (E12b), all with warm plan/analysis caches.
+Two isolated comparisons, each measured *interleaved* (alternating the
+two arms batch-by-batch) so machine drift hits both arms equally:
 
 * ``execute_planned`` bare vs. with an armed guard — the pure tick
   overhead, as the median per-pair ratio;

@@ -2,7 +2,7 @@
 
 Tracing must be cheap enough to leave compiled in and cheap enough to
 turn on.  Two claims, pinned on the E13 mixed batch (templated keyed
-lookups, compiled filter scans, one correlated EXISTS; warm plan and
+lookups, vectorized filter scans, one correlated EXISTS; warm plan and
 analysis caches):
 
 * **Disabled** tracing costs under 2%.  Every instrumented site guards

@@ -8,10 +8,9 @@ selection-dominated scans run an order of magnitude faster than the
 row-at-a-time interpreter — and reports where the gain shrinks (probe
 loops and distinct folds keep per-row Python work).
 
-Every table lands in ``BENCH_e17.json``.  The baseline is the *pure*
-tuple interpreter (predicate compilation off), the same reference the
-verified fallback demotes to; a second row shows the compiled tuple
-path so the columnar gain is not conflated with closure compilation.
+Every table lands in ``BENCH_e17.json``.  The baseline is the tuple
+path — the row operators over the interpretive evaluator, the same
+reference the verified fallback demotes to.
 """
 
 import gc
@@ -21,17 +20,12 @@ from repro.bench import ExperimentReport, speedup, timed
 # The home-module import skips the deprecation shim: per-call warning
 # machinery is real overhead at millisecond timescales under pytest's
 # record-everything warning filter.
-from repro.engine import (
-    DEFAULT_BATCH_ROWS,
-    PlanCache,
-    execute_planned,
-    set_compilation_enabled,
-)
+from repro.engine import DEFAULT_BATCH_ROWS, PlanCache, execute_planned
 from repro.engine.stats import Stats
 from repro.sql.parser import parse_query
 from repro.workloads import SupplierScale, build_database, generate
 
-# Selection-dominated scan: the E12d predicate shape over a predicate
+# Selection-dominated scan: a three-conjunct WHERE over a predicate
 # that actually passes rows (PNO is per-supplier, 1..parts_per_supplier).
 SELECTION_SQL = (
     "SELECT P.PNO, P.PNAME FROM PARTS P "
@@ -89,16 +83,9 @@ def test_e17_selection_scan_vectorized(benchmark, bench_db):
     cache = PlanCache()
     interp_stats, vec_stats = Stats(), Stats()
 
-    previous = set_compilation_enabled(False)
-    try:
-        interp, t_interp = _bench(
-            SELECTION_SQL, bench_db, SELECTION_PARAMS, "tuple", cache,
-            stats=interp_stats,
-        )
-    finally:
-        set_compilation_enabled(previous)
-    compiled, t_compiled = _bench(
-        SELECTION_SQL, bench_db, SELECTION_PARAMS, "tuple", cache
+    interp, t_interp = _bench(
+        SELECTION_SQL, bench_db, SELECTION_PARAMS, "tuple", cache,
+        stats=interp_stats,
     )
     vectorized, t_vec = _bench(
         SELECTION_SQL, bench_db, SELECTION_PARAMS, "vectorized", cache,
@@ -114,23 +101,17 @@ def test_e17_selection_scan_vectorized(benchmark, bench_db):
     )
     ratio = speedup(t_interp, t_vec)
     report.add_row("tuple interpreter", len(interp.rows), t_interp * 1e3, 1.0)
-    report.add_row(
-        "tuple + compiled predicates",
-        len(compiled.rows),
-        t_compiled * 1e3,
-        speedup(t_interp, t_compiled),
-    )
     report.add_row("vectorized", len(vectorized.rows), t_vec * 1e3, ratio)
     report.note(
         f"batch size {DEFAULT_BATCH_ROWS}; baseline is the verified "
-        "fallback path (compilation off)"
+        "fallback path (the tuple engine)"
     )
     report.record_engine("vectorized", DEFAULT_BATCH_ROWS)
     report.record_stats("tuple", interp_stats)
     report.record_stats("vectorized", vec_stats)
     report.show()
 
-    assert vectorized.rows == interp.rows == compiled.rows  # byte-identical
+    assert vectorized.rows == interp.rows  # byte-identical
     assert len(vectorized.rows) > 0  # the predicate must actually select
     assert ratio >= 10.0, f"vectorized selection only {ratio:.1f}x faster"
     # Work accounting matches the interpreter; only the path counters
@@ -167,11 +148,7 @@ def test_e17_join_and_distinct_vectorized(benchmark, bench_db):
         ("join", JOIN_SQL, None),
         ("join+distinct", DISTINCT_SQL, DISTINCT_PARAMS),
     ):
-        previous = set_compilation_enabled(False)
-        try:
-            interp, t_interp = _bench(sql, bench_db, params, "tuple", cache)
-        finally:
-            set_compilation_enabled(previous)
+        interp, t_interp = _bench(sql, bench_db, params, "tuple", cache)
         vectorized, t_vec = _bench(sql, bench_db, params, "vectorized", cache)
         ratio = speedup(t_interp, t_vec)
         report.add_row(

@@ -98,6 +98,7 @@ from typing import Any, Sequence
 from .catalog import Catalog
 from .core import Optimizer, UniquenessOptions, test_uniqueness
 from .engine import (
+    ENGINE_MODES,
     Database,
     ParallelOptions,
     Planner,
@@ -291,10 +292,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine-mode",
-        choices=("tuple", "vectorized", "auto"),
+        choices=ENGINE_MODES,
         help="execution style: tuple (row-at-a-time interpreter), "
         "vectorized (columnar batches), or auto (vectorize when safe); "
-        "default: the REPRO_ENGINE_MODE environment variable, else tuple",
+        "default: the REPRO_ENGINE_MODE environment variable, else auto",
     )
     run.add_argument(
         "--batch-rows",
@@ -418,8 +419,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine-mode",
-        choices=("tuple", "vectorized", "auto"),
-        help="execution style for every served query (default: tuple)",
+        choices=ENGINE_MODES,
+        help="execution style for every served query (default: the "
+        "REPRO_ENGINE_MODE environment variable, else auto)",
     )
     serve.add_argument(
         "--stats",
@@ -519,8 +521,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     client.add_argument(
         "--engine-mode",
-        choices=("tuple", "vectorized", "auto"),
-        help="execution style, enforced server-side (default: tuple)",
+        choices=ENGINE_MODES,
+        help="execution style, enforced server-side (default: the "
+        "server's REPRO_ENGINE_MODE environment variable, else auto)",
     )
     client.add_argument(
         "--stats",

@@ -10,7 +10,6 @@ from .columnar import (
     resolve_engine_mode,
     set_default_engine_mode,
 )
-from .compile import compile_filter, compile_predicate, set_compilation_enabled
 from .cost import CostModel, PlanEstimate
 from .database import Database
 from .evaluator import Evaluator
@@ -53,15 +52,12 @@ __all__ = [
     "TableData",
     "compile_batch_filter",
     "compile_batch_predicate",
-    "compile_filter",
-    "compile_predicate",
     "default_engine_mode",
     "execute",
     "execute_plan",
     "execute_planned",
     "parallel_execution",
     "resolve_engine_mode",
-    "set_compilation_enabled",
     "set_default_engine_mode",
     "shared_pool",
 ]

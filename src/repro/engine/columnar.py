@@ -37,10 +37,16 @@ Soundness
 Every comparison kernel has a *fast lane* (a native comprehension,
 taken only when the batch's type census proves it agrees with
 ``compare_where``) and an *exact lane* (a per-row ``compare_where``
-loop).  Anything the row compiler in :mod:`repro.engine.compile` cannot
-compile — subqueries, outer references, unbound host variables — is
-rejected here for the same reason, and the caller falls back to the
-tuple interpreter, which remains the verified reference semantics.
+loop).  Anything a kernel could not reproduce exactly — subqueries,
+outer references, unbound host variables, ambiguous names — is rejected
+at compile time, and the caller runs the tuple operators with the
+interpretive :class:`~repro.engine.evaluator.Evaluator`, which remains
+the verified reference semantics.
+
+This is the production engine: the default ``engine_mode`` is
+``"auto"``, which vectorizes every fault-free execution.  The tuple
+path is the oracle (``engine_mode="tuple"``), the health ladder's
+demoted tier, and what ``"auto"`` runs while faults are armed.
 
 Fault injection: batch compilation consults the ``compile`` site, and
 armed ``vectorized_eval`` faults instrument every returned kernel (and,
@@ -72,7 +78,6 @@ from ..sql.expressions import (
 from ..types.tristate import FALSE, TRUE, UNKNOWN, Tristate
 from ..types.values import NULL as _NULL_SENTINEL
 from ..types.values import SqlValue, compare_where, is_null
-from .compile import CannotCompile, compilation_enabled
 from .schema import RelSchema
 
 #: Rows per batch — matches the default morsel size, so the parallel
@@ -82,8 +87,8 @@ DEFAULT_BATCH_ROWS = 2048
 #: The engine_mode knob's legal values.
 ENGINE_MODES = ("tuple", "vectorized", "auto")
 
-#: Environment override for the process default (the CI vectorized leg
-#: runs the ordinary test suite with ``REPRO_ENGINE_MODE=vectorized``).
+#: Environment override for the process default (the CI oracle leg runs
+#: the engine suites with ``REPRO_ENGINE_MODE=tuple``).
 ENV_ENGINE_MODE = "REPRO_ENGINE_MODE"
 
 _default_mode: str | None = None
@@ -93,13 +98,14 @@ def default_engine_mode() -> str:
     """The process-wide default engine mode.
 
     Resolution order: :func:`set_default_engine_mode`, then the
-    ``REPRO_ENGINE_MODE`` environment variable, then ``"tuple"`` — the
-    verified interpreter stays the default unless somebody opts in.
+    ``REPRO_ENGINE_MODE`` environment variable, then ``"auto"`` —
+    vectorize every fault-free execution, run the tuple path while
+    faults are armed.
     """
     if _default_mode is not None:
         return _default_mode
     mode = os.environ.get(ENV_ENGINE_MODE, "")
-    return mode if mode in ENGINE_MODES else "tuple"
+    return mode if mode in ENGINE_MODES else "auto"
 
 
 def set_default_engine_mode(mode: str | None) -> str | None:
@@ -120,6 +126,10 @@ def resolve_engine_mode(mode: str | None) -> str:
     if mode not in ENGINE_MODES:
         raise ValueError(f"unknown engine mode {mode!r}")
     return mode
+
+
+class CannotCompile(Exception):
+    """Internal control flow: the expression needs the interpreter."""
 
 
 def batch_fault_check() -> None:
@@ -288,14 +298,13 @@ def compile_batch_predicate(
 ) -> BatchPredicateFn | None:
     """Compile a search condition into a mask-pair kernel.
 
-    Mirrors :func:`repro.engine.compile.compile_predicate` node for
-    node — same compilability frontier, same constant folding, same
-    fault sites (``compile`` at build time, ``vectorized_eval`` per
-    batch evaluation).  Returns ``None`` when the expression needs the
+    Column references resolve to column indices and host variables to
+    constants once per (expression, schema); constant subtrees fold at
+    compile time (``5 = 5`` is the constant ``TRUE``).  Fault sites:
+    ``compile`` at build time, ``vectorized_eval`` per batch
+    evaluation.  Returns ``None`` when the expression needs the
     interpreter; callers then run the tuple path re-batched.
     """
-    if not compilation_enabled():
-        return None
     if FAULTS.armed:
         FAULTS.check(SITE_COMPILE)
     try:
@@ -547,7 +556,8 @@ def _operand(
     expr: Expr, schema: RelSchema, params: dict[str, SqlValue]
 ) -> tuple[str, object]:
     """Resolve a scalar operand to ``(_CONST, value)`` or
-    ``(_COL, index)`` — the same frontier as ``compile._scalar``."""
+    ``(_COL, index)``; anything row-external (an unbound host variable,
+    an outer or ambiguous reference, a subquery) cannot compile."""
     if isinstance(expr, Literal):
         return _CONST, expr.value
     if isinstance(expr, HostVar):
@@ -631,12 +641,15 @@ def _connective(
     params: dict[str, SqlValue],
     conjunctive: bool,
 ) -> tuple[BatchPredicateFn | None, Tristate | None]:
-    """AND/OR with the row compiler's constant folding.
+    """AND/OR with constant folding.
 
-    The runtime kernel folds lane-wise: Kleene's connectives are
-    associative, so evaluating every part over every lane (no per-row
-    short circuit — that is the point of vectorization) produces the
-    same tristate per lane as the interpreter's short-circuit walk.
+    Constant operands fold into an accumulator; an absorbing constant
+    (FALSE for AND, TRUE for OR) decides the whole connective, which is
+    sound because compiled siblings never raise.  The runtime kernel
+    folds lane-wise: Kleene's connectives are associative, so
+    evaluating every part over every lane (no per-row short circuit —
+    that is the point of vectorization) produces the same tristate per
+    lane as the interpreter's short-circuit walk.
     """
     absorbing = FALSE if conjunctive else TRUE
     identity = TRUE if conjunctive else FALSE

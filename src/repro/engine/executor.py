@@ -45,7 +45,7 @@ from ..sql.expressions import (
     conjuncts,
 )
 from ..sql.parser import parse_query
-from ..types.values import SqlValue, row_sort_key, sort_key
+from ..types.values import SqlValue, is_null, row_sort_key, sort_key
 from .database import Database
 from .evaluator import Evaluator
 from .projection import resolve_projection
@@ -206,11 +206,15 @@ class Executor:
         Usable means a top-level ``column = operand`` where the column is
         auto-indexed (key or FK column of the one FROM table) and the
         operand is a literal, a bound host variable, or an outer-scope
-        column reference.  Soundness: the conjunct is AND-ed into WHERE,
-        so every qualifying row must carry the probed value — restricting
-        the scan to the index bucket (and still applying the full WHERE)
-        cannot change the result.  A NULL probe matches nothing, exactly
-        as the equality would.
+        column reference.  The first usable conjunct picks the index; the
+        other usable conjuncts then narrow its bucket with the index's
+        own ≐ key test, so a correlated probe binding a whole candidate
+        key hands at most one row to the WHERE (Theorem 1) without
+        building a second index.  Soundness: every probed conjunct is
+        AND-ed into WHERE, so every qualifying row must carry the probed
+        values — restricting the scan to the narrowed bucket (and still
+        applying the full WHERE) cannot change the result.  A NULL probe
+        matches nothing, exactly as the equality would.
         """
         table_ref = query.tables[0]
         alias = table_ref.effective_name
@@ -219,6 +223,7 @@ class Executor:
         if not indexable:
             return None
         inner_columns = set(data.schema.column_names)
+        bound: dict[str, SqlValue] = {}
         for conjunct in conjuncts(query.where):
             if not isinstance(conjunct, Comparison) or conjunct.op != "=":
                 continue
@@ -230,25 +235,39 @@ class Executor:
                     continue
                 if ref.qualifier is not None and ref.qualifier != alias:
                     continue
-                if ref.column not in indexable:
+                if ref.column not in indexable or ref.column in bound:
                     continue
                 value = self._probe_value(operand, alias, inner_columns, outer)
                 if value is _NO_PROBE:
                     continue
-                self.stats.index_probes += 1
-                try:
-                    matches = data.index_lookup((ref.column,), (value,))
-                except ResourceError:
-                    raise
-                except Exception:
-                    # Index machinery failed (e.g. an injected build
-                    # fault): fall back to the full scan, which applies
-                    # the identical WHERE and so returns the same rows.
-                    self.stats.index_fallbacks += 1
-                    return None
-                self.stats.index_rows += len(matches)
-                return iter(matches)
-        return None
+                bound[ref.column] = value
+                break
+        if not bound:
+            return None
+        first, *rest = bound
+        self.stats.index_probes += 1
+        try:
+            matches = data.index_lookup((first,), (bound[first],))
+        except ResourceError:
+            raise
+        except Exception:
+            # Index machinery failed (e.g. an injected build fault):
+            # fall back to the full scan, which applies the identical
+            # WHERE and so returns the same rows.
+            self.stats.index_fallbacks += 1
+            return None
+        for column in rest:
+            if not matches:
+                break
+            value = bound[column]
+            if is_null(value):
+                matches = []
+                break
+            position = data.schema.column_index(column)
+            key = sort_key(value)
+            matches = [row for row in matches if sort_key(row[position]) == key]
+        self.stats.index_rows += len(matches)
+        return iter(matches)
 
     def _probe_value(
         self,

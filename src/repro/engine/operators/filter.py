@@ -10,7 +10,6 @@ from ...errors import ResourceError
 from ...sql.expressions import Expr
 from ...sql.printer import to_sql
 from ..columnar import batches_from_rows, compile_batch_filter
-from ..compile import compile_filter
 from ..schema import Scope
 from .base import ExecContext, PlanNode
 
@@ -18,24 +17,20 @@ from .base import ExecContext, PlanNode
 class Filter(PlanNode):
     """Keeps rows whose predicate is definitely TRUE (⌊P⌋ semantics).
 
-    Simple predicates are compiled once per execution into a row closure
-    (no per-row Scope allocation or recursive dispatch); predicates the
-    compiler rejects — subqueries, outer references — run through the
-    shared evaluator, which re-executes correlated subqueries per input
-    row through the reference interpreter, counting each invocation.
+    The row path evaluates the predicate through the shared evaluator,
+    which re-executes correlated subqueries per input row through the
+    reference interpreter, counting each invocation.  It is the verified
+    semantics the vectorized path falls back to.
 
-    The interpretive path doubles as the verified fallback: a failure in
-    compilation, or in a compiled closure mid-stream, degrades to the
-    evaluator for the remaining rows with identical semantics.
-
-    With a parallel execution context, a Filter directly over a
-    :class:`~repro.engine.operators.scan.SeqScan` of a large enough
-    table becomes a **parallel scan**: the stored rows are split into
-    row-range morsels, each evaluated through the compiled predicate on
-    the worker pool, and the surviving rows are concatenated in morsel
-    order — the exact sequence the serial loop would emit.  Any worker
-    failure discards the parallel attempt and re-runs the whole filter
-    serially (nothing has been yielded yet, so the fallback is clean).
+    The vectorized path compiles the predicate once per execution into
+    a mask kernel.  With a parallel execution context, a Filter directly
+    over a :class:`~repro.engine.operators.scan.SeqScan` of a large
+    enough table becomes a **parallel scan**: the table's column batches
+    are evaluated on the worker pool and the surviving batches are
+    concatenated in morsel order — the exact sequence the serial loop
+    would emit.  Any worker failure discards the parallel attempt and
+    re-runs the whole filter serially (nothing has been yielded yet, so
+    the fallback is clean).
     """
 
     def __init__(self, child: PlanNode, predicate: Expr) -> None:
@@ -46,102 +41,10 @@ class Filter(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def _parallel_rows(
-        self, ctx: ExecContext, outer: Scope | None
-    ) -> list[tuple] | None:
-        """The parallel-scan result list, or None to run serially."""
-        from .scan import SeqScan  # deferred: scan imports base too
-
-        par = ctx.parallel
-        if par is None or not isinstance(self.child, SeqScan):
-            return None
-        table_rows = ctx.database.table(self.child.table_name).rows
-        if not par.eligible(ctx, len(table_rows), outer):
-            return None
-        try:
-            compiled = compile_filter(
-                self.predicate, self.schema, ctx.evaluator.params
-            )
-        except ResourceError:
-            raise
-        except Exception:
-            return None  # serial path counts the fallback
-        if compiled is None:
-            return None
-
-        morsels = par.morsels(len(table_rows))
-
-        def task(bounds: tuple[int, int]) -> list[tuple]:
-            lo, hi = bounds
-            return [row for row in table_rows[lo:hi] if compiled(row)]
-
-        try:
-            results = par.pool.run_ordered(task, morsels)
-        except ResourceError:
-            raise
-        except Exception:
-            # A compiled closure died in a worker.  Nothing has been
-            # yielded and no counter touched, so the serial path simply
-            # re-runs the filter (and accounts its own fallback).
-            return None
-        # Account ticks and counters only after every morsel succeeded,
-        # so a failed parallel attempt leaves no partial accounting for
-        # the serial re-run to double.
-        stats = ctx.stats
-        for (lo, hi) in morsels:
-            ctx.tick(hi - lo)
-        scanned = len(table_rows)
-        stats.rows_scanned += scanned
-        stats.predicate_evals += scanned
-        stats.compiled_evals += scanned
-        stats.predicates_compiled += 1
-        stats.parallel_scans += 1
-        stats.parallel_morsels += len(morsels)
-        output: list[tuple] = []
-        for kept in results:
-            output.extend(kept)
-        return output
-
     def rows(self, ctx: ExecContext, outer: Scope | None = None) -> Iterator[tuple]:
-        parallel_result = self._parallel_rows(ctx, outer)
-        if parallel_result is not None:
-            yield from parallel_result
-            return
-        compiled = None
-        if outer is None:
-            try:
-                compiled = compile_filter(
-                    self.predicate, self.schema, ctx.evaluator.params
-                )
-            except ResourceError:
-                raise
-            except Exception:
-                ctx.stats.compile_fallbacks += 1
-        stats = ctx.stats
-        if compiled is not None:
-            stats.predicates_compiled += 1
+        qualifies = ctx.evaluator.qualifies
         for row in self.child.rows(ctx, outer):
-            if compiled is not None:
-                stats.predicate_evals += 1
-                stats.compiled_evals += 1
-                try:
-                    keep = compiled(row)
-                except ResourceError:
-                    raise
-                except Exception:
-                    # Compiled predicate died mid-stream: back out this
-                    # row's compiled counters and degrade to the
-                    # evaluator for it and every remaining row.
-                    stats.predicate_evals -= 1
-                    stats.compiled_evals -= 1
-                    stats.compile_fallbacks += 1
-                    compiled = None
-                else:
-                    if keep:
-                        yield row
-                    continue
-            scope = Scope(self.schema, row, outer=outer)
-            if ctx.evaluator.qualifies(self.predicate, scope):
+            if qualifies(self.predicate, Scope(self.schema, row, outer=outer)):
                 yield row
 
     # ------------------------------------------------------------------
@@ -150,12 +53,10 @@ class Filter(PlanNode):
     def batches(self, ctx: ExecContext, outer: Scope | None = None):
         """Selection as a boolean mask over a batch-compiled predicate.
 
-        The batch compiler has the same frontier as the row compiler:
-        anything it rejects (subqueries, outer references) re-batches
-        the tuple path, which is the verified semantics.  A kernel that
-        dies mid-stream demotes this batch and every remaining one to
-        the interpreter — the vectorized mirror of the compiled→
-        interpreter ladder.
+        Anything the batch compiler rejects (subqueries, outer
+        references) re-batches the tuple path, which is the verified
+        semantics.  A kernel that dies mid-stream demotes this batch and
+        every remaining one to the interpreter.
         """
         kernel = None
         if outer is None:
@@ -190,7 +91,6 @@ class Filter(PlanNode):
                 # from this batch has been emitted, so it and the rest
                 # of the stream run through the evaluator.
                 stats.vectorized_fallbacks += 1
-                stats.compile_fallbacks += 1
                 yield from self._demoted_batches(ctx, outer, batch, source)
                 return
             stats.predicate_evals += batch.length

@@ -5,9 +5,8 @@ matches anything (``NULL = NULL`` is UNKNOWN).  Hash and sort-merge
 joins therefore drop NULL-keyed rows on both sides, matching what the
 nested-loop join's predicate evaluation would do.
 
-Join predicates and residuals are compiled to row closures when
-possible (see :mod:`repro.engine.compile`); predicates containing
-subqueries or outer references fall back to the shared evaluator.
+Join predicates and residuals are evaluated through the shared
+evaluator, on the row path and on the vectorized hash join alike.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from ...sql.expressions import Expr
 from ...sql.printer import to_sql
 from ...types.values import SqlValue, is_null, row_sort_key
 from ..columnar import ColumnBatch, batch_fault_check, batches_from_rows
-from ..compile import compile_filter
 from ..schema import Scope
 from .base import ExecContext, PlanNode
 
@@ -31,54 +29,13 @@ def _residual_test(
     ctx: ExecContext,
     outer: Scope | None,
 ) -> Callable[[Sequence[SqlValue]], bool] | None:
-    """A per-row test for a join residual, or None when there is none.
-
-    Compiles the predicate when possible (counting the compilation);
-    otherwise returns an evaluator-backed closure with identical
-    semantics.  The evaluator closure is also the verified fallback: a
-    compilation failure, or a compiled closure dying mid-stream, swaps
-    in the interpreter for the remaining rows.
-    """
+    """A per-row test for a join residual, or None when there is none."""
     if predicate is None:
         return None
-    stats = ctx.stats
-
-    def interpret(row):
-        scope = Scope(node.schema, row, outer=outer)
-        return ctx.evaluator.qualifies(predicate, scope)
-
-    compiled = None
-    if outer is None:
-        try:
-            compiled = compile_filter(
-                predicate, node.schema, ctx.evaluator.params
-            )
-        except ResourceError:
-            raise
-        except Exception:
-            stats.compile_fallbacks += 1
-    if compiled is None:
-        return interpret
-
-    stats.predicates_compiled += 1
-    state = {"fn": compiled}
+    qualifies = ctx.evaluator.qualifies
 
     def test(row):
-        fn = state["fn"]
-        if fn is None:
-            return interpret(row)
-        stats.predicate_evals += 1
-        stats.compiled_evals += 1
-        try:
-            return fn(row)
-        except ResourceError:
-            raise
-        except Exception:
-            stats.predicate_evals -= 1
-            stats.compiled_evals -= 1
-            stats.compile_fallbacks += 1
-            state["fn"] = None
-            return interpret(row)
+        return qualifies(predicate, Scope(node.schema, row, outer=outer))
 
     return test
 
@@ -236,26 +193,17 @@ class HashJoin(PlanNode):
     ) -> list[tuple] | None:
         """Partitioned probe output, or None to probe serially.
 
-        Requires a compiled (pure) residual; an evaluator-backed
-        residual stays serial.  Workers probe the shared read-only
-        buckets over disjoint probe slices; slices concatenate in order,
-        reproducing the serial output sequence.
+        A join with a residual probes serially: the residual runs
+        through the shared evaluator, which is not a pure per-slice
+        function.  Workers probe the shared read-only buckets over
+        disjoint probe slices; slices concatenate in order, reproducing
+        the serial output sequence.
         """
         par = ctx.parallel
-        if not par.eligible(ctx, len(probe_rows), None):
+        if self.residual is not None or not par.eligible(
+            ctx, len(probe_rows), None
+        ):
             return None
-        residual_fn = None
-        if self.residual is not None:
-            try:
-                residual_fn = compile_filter(
-                    self.residual, self.schema, ctx.evaluator.params
-                )
-            except ResourceError:
-                raise
-            except Exception:
-                return None  # serial probe counts the fallback
-            if residual_fn is None:
-                return None
         morsels = par.morsels(len(probe_rows))
         usable = self._usable
         build_left = self.build_left
@@ -273,12 +221,9 @@ class HashJoin(PlanNode):
                 for build_row in buckets.get(row_sort_key(key_values), ()):
                     matches += 1
                     if build_left:
-                        combined = build_row + probe_row
+                        out.append(build_row + probe_row)
                     else:
-                        combined = probe_row + build_row
-                    if residual_fn is not None and not residual_fn(combined):
-                        continue
-                    out.append(combined)
+                        out.append(probe_row + build_row)
             return out, probes, matches
 
         try:
@@ -286,7 +231,7 @@ class HashJoin(PlanNode):
         except ResourceError:
             raise
         except Exception:
-            return None  # e.g. compiled residual died; serial re-probes
+            return None  # pure workers failed; serial re-probes
         # Account only after every slice succeeded — a failed attempt
         # must leave no partial counters for the serial re-run to double.
         stats = ctx.stats
@@ -295,12 +240,7 @@ class HashJoin(PlanNode):
             ctx.tick(matches)
             stats.hash_probes += probes
             stats.rows_joined += matches
-            if residual_fn is not None:
-                stats.predicate_evals += matches
-                stats.compiled_evals += matches
             output.extend(out)
-        if residual_fn is not None:
-            stats.predicates_compiled += 1
         stats.parallel_joins += 1
         stats.parallel_morsels += len(morsels)
         return output

@@ -8,7 +8,6 @@ from ...errors import ExecutionError, MissingHostVariableError, ResourceError
 from ...sql.expressions import Expr, HostVar, Literal
 from ...sql.printer import to_sql
 from ...types.values import is_null, row_sort_key
-from ..compile import compile_filter
 from ..schema import RelSchema, Scope
 from .base import ExecContext, PlanNode
 
@@ -150,49 +149,14 @@ class IndexScan(PlanNode):
         ctx.stats.index_rows += len(matches)
 
         tick = ctx.tick
-        if self.residual is None:
-            for row in matches:
-                tick()
-                ctx.stats.rows_scanned += 1
-                yield row
-            return
-
-        compiled = None
-        if outer is None:
-            try:
-                compiled = compile_filter(
-                    self.residual, self.schema, ctx.evaluator.params
-                )
-            except ResourceError:
-                raise
-            except Exception:
-                ctx.stats.compile_fallbacks += 1
         stats = ctx.stats
-        if compiled is not None:
-            stats.predicates_compiled += 1
+        qualifies = ctx.evaluator.qualifies
         for row in matches:
             tick()
             stats.rows_scanned += 1
-            if compiled is not None:
-                stats.predicate_evals += 1
-                stats.compiled_evals += 1
-                try:
-                    keep = compiled(row)
-                except ResourceError:
-                    raise
-                except Exception:
-                    # A compiled residual died mid-stream: back out this
-                    # row's compiled counters and finish interpretively.
-                    stats.predicate_evals -= 1
-                    stats.compiled_evals -= 1
-                    stats.compile_fallbacks += 1
-                    compiled = None
-                else:
-                    if keep:
-                        yield row
-                    continue
-            scope = Scope(self.schema, row, outer=outer)
-            if ctx.evaluator.qualifies(self.residual, scope):
+            if self.residual is None or qualifies(
+                self.residual, Scope(self.schema, row, outer=outer)
+            ):
                 yield row
 
     def label(self) -> str:

@@ -17,9 +17,9 @@ Three invariants keep the parallel paths invisible to correctness:
   merged left-to-right, so each bucket lists build rows in the exact
   insertion order a serial build would produce.
 * **Pure workers** — worker tasks touch only immutable inputs (row
-  lists, compiled predicate closures); every ``Stats`` counter and
-  guard tick is accounted by the coordinating thread as each morsel is
-  collected.  Workers never see the evaluator, the guard, or the
+  lists, column batches, compiled mask kernels); every ``Stats``
+  counter and guard tick is accounted by the coordinating thread as
+  each morsel is collected.  Workers never see the evaluator, the guard, or the
   tracer.
 * **Conservative gating** — :meth:`ParallelExecution.eligible` says no
   whenever faults are armed (per-row trigger opportunities must be

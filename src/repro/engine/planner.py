@@ -625,9 +625,10 @@ def execute_plan(
     never changes the plan or the output sequence.
 
     *engine_mode* picks the execution style: ``"tuple"`` streams rows
-    through the interpreter/compiled closures, ``"vectorized"`` drives
-    the plan through the operators' columnar ``batches()`` protocol,
-    and ``"auto"`` vectorizes exactly when faults are disarmed.  Like
+    through the operators and the interpretive evaluator,
+    ``"vectorized"`` drives the plan through the operators' columnar
+    ``batches()`` protocol, and ``"auto"`` (the default) vectorizes
+    exactly when faults are disarmed.  Like
     *parallel*, the mode is execution-time only — same plan, same
     output sequence.  *batch_rows* sizes the column batches.
     """

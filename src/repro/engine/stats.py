@@ -28,9 +28,9 @@ class Stats:
         subquery_executions: number of times a correlated subquery was
             (re-)executed — the cost of a naive nested-loop strategy.
         rows_output: rows in the final result.
-        predicates_compiled: predicates lowered to row closures (once
-            per operator execution, not per row).
-        compiled_evals: rows evaluated through a compiled predicate
+        predicates_compiled: predicates lowered to batch mask kernels
+            (once per operator execution, not per row).
+        compiled_evals: rows evaluated through a compiled mask kernel
             instead of the recursive interpreter.
         index_probes: hash-index lookups that replaced a full table
             scan (IndexScan keys and correlated subquery probes).
@@ -38,9 +38,6 @@ class Stats:
             ``rows_scanned`` to see the scan work avoided.
         plan_cache_hits: physical plans served from the plan cache.
         plan_cache_misses: plans built because the cache had no entry.
-        compile_fallbacks: compiled-predicate failures recovered by
-            switching (possibly mid-stream) to the interpretive
-            evaluator.
         index_fallbacks: hash-index probe failures recovered by scanning
             the base table instead.
         cache_skips: cache lookups skipped fail-closed because the
@@ -84,7 +81,6 @@ class Stats:
     index_rows: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    compile_fallbacks: int = 0
     index_fallbacks: int = 0
     cache_skips: int = 0
     parallel_scans: int = 0
@@ -111,23 +107,32 @@ class Stats:
 
     def snapshot(self) -> "Stats":
         """An independent copy of the current counter values."""
-        return type(self)(**self.as_dict())
+        return self._with(self.__dict__)
 
-    # Arithmetic iterates fields(self) and constructs type(self), so a
-    # counter added later — including in a subclass — participates in
-    # merging automatically instead of being silently dropped.
+    # Arithmetic iterates the dataclass fields of type(self) and builds
+    # type(self), so a counter added later — including in a subclass —
+    # participates in merging automatically instead of being silently
+    # dropped.  Every trace span with a stats sink takes two snapshots
+    # and a difference, so these skip the keyword-argument ``__init__``
+    # and compute the field names once per class.
 
     def __add__(self, other: "Stats") -> "Stats":
-        merged = type(self)()
-        for f in fields(self):
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return merged
+        mine, theirs = self.__dict__, other.__dict__
+        return self._with(
+            {name: mine[name] + theirs[name] for name in _counter_names(self)}
+        )
 
     def __sub__(self, other: "Stats") -> "Stats":
-        merged = type(self)()
-        for f in fields(self):
-            setattr(merged, f.name, getattr(self, f.name) - getattr(other, f.name))
-        return merged
+        mine, theirs = self.__dict__, other.__dict__
+        return self._with(
+            {name: mine[name] - theirs[name] for name in _counter_names(self)}
+        )
+
+    def _with(self, values: dict[str, int]) -> "Stats":
+        """A new instance of type(self) holding *values*."""
+        stats = object.__new__(type(self))
+        stats.__dict__.update(values)
+        return stats
 
     def describe(self) -> str:
         """Non-zero counters as a compact single-line summary."""
@@ -135,3 +140,15 @@ class Stats:
             f"{name}={value}" for name, value in self.as_dict().items() if value
         ]
         return ", ".join(parts) if parts else "(no work recorded)"
+
+
+_COUNTER_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _counter_names(stats: Stats) -> tuple[str, ...]:
+    """The counter (dataclass field) names of *stats*' class, cached."""
+    cls = type(stats)
+    names = _COUNTER_NAMES.get(cls)
+    if names is None:
+        names = _COUNTER_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names

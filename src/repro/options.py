@@ -51,10 +51,12 @@ class ExecutionOptions:
             corrections while planning; implies statistics-driven
             planning and forces an instrumented execution.
         parallel: morsel-parallel execution knobs, or None for serial.
-        engine_mode: ``"tuple"`` (row-at-a-time interpreter/compiled
-            closures), ``"vectorized"`` (columnar batches), ``"auto"``
-            (vectorize exactly when faults are disarmed), or None to
-            defer to :func:`repro.engine.columnar.default_engine_mode`.
+        engine_mode: ``"tuple"`` (row-at-a-time operators over the
+            interpretive evaluator — the oracle), ``"vectorized"``
+            (columnar batches), ``"auto"`` (vectorize exactly when
+            faults are disarmed), or None to defer to
+            :func:`repro.engine.columnar.default_engine_mode`, which is
+            ``"auto"`` unless ``REPRO_ENGINE_MODE`` says otherwise.
         batch_rows: rows per column batch in vectorized mode (None =
             the engine default).
         deadline: end-to-end :class:`~repro.resilience.deadline.Deadline`

@@ -53,7 +53,6 @@ from .faults import (
     FaultInjector,
     FaultSpec,
     SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_DLI,
     SITE_FINGERPRINT,
     SITE_INDEX_BUILD,
@@ -103,7 +102,6 @@ __all__ = [
     "ResourceBudget",
     "RetryPolicy",
     "SITE_COMPILE",
-    "SITE_COMPILED_EVAL",
     "SITE_DLI",
     "SITE_FINGERPRINT",
     "SITE_INDEX_BUILD",

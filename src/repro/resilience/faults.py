@@ -1,6 +1,6 @@
 """Deterministic, seedable fault injection for the engine's fast paths.
 
-Every fast path PR 1 added (compiled predicates, plan/uniqueness caches,
+Every fast path (batch-compiled predicates, plan/uniqueness caches,
 hash indexes) and every external call (DL/I) has a *hook*: a named site
 that consults the process-wide :data:`FAULTS` injector.  Tests and the
 chaos benchmark arm typed faults at a site through a context-manager
@@ -10,8 +10,7 @@ raises a typed :class:`~repro.errors.ReproError` — never a wrong answer.
 Sites (the strings the hooks pass to :meth:`FaultInjector.check`):
 
 ========================  ====================================================
-``compile``               predicate compilation (:mod:`repro.engine.compile`)
-``compiled_eval``         a compiled predicate closure, per evaluation
+``compile``               batch-kernel compilation (:mod:`repro.engine.columnar`)
 ``vectorized_eval``       a batch kernel (:mod:`repro.engine.columnar`), per batch
 ``plan_cache``            plan-cache lookup/store
 ``index_build``           lazy hash-index construction
@@ -54,7 +53,6 @@ from ..errors import InjectedFaultError, TransientImsError
 
 # Canonical site names (hooks and tests share these constants).
 SITE_COMPILE = "compile"
-SITE_COMPILED_EVAL = "compiled_eval"
 SITE_VECTORIZED_EVAL = "vectorized_eval"
 SITE_PLAN_CACHE = "plan_cache"
 SITE_INDEX_BUILD = "index_build"
@@ -69,7 +67,6 @@ SITE_WAL_COMMIT = "wal_commit"
 
 ALL_SITES = (
     SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_VECTORIZED_EVAL,
     SITE_PLAN_CACHE,
     SITE_INDEX_BUILD,
@@ -259,9 +256,9 @@ class FaultInjector:
     def wrap_callable(self, site: str, fn: Callable[..., Any]) -> Callable[..., Any]:
         """Instrument *fn* so every call is a trigger opportunity.
 
-        Used by the predicate compiler: when a ``compiled_eval`` fault is
-        armed, the returned closure consults the injector per row, so a
-        compiled predicate can be made to blow up mid-stream.  With no
+        Used by the batch compiler: when a ``vectorized_eval`` fault is
+        armed, the returned kernel consults the injector per batch, so a
+        compiled kernel can be made to blow up mid-stream.  With no
         matching spec armed, *fn* is returned untouched — zero overhead.
         """
         if not any(spec.site == site for spec in self.specs()):

@@ -1,10 +1,9 @@
 """The self-healing degradation ladder: error budgets per subsystem.
 
-PR 2 and PR 6 gave every fast path a verified fallback — compiled
-predicate → interpreter, cached plan → replan, vectorized batch →
-tuple, parallel morsel → serial — but each query re-trips the same
-fallback from scratch: a sick subsystem fails, falls back, and is tried
-again on the very next query, forever.  This module converts *repeated*
+Every fast path has a verified fallback — cached plan → replan,
+vectorized batch → tuple, parallel morsel → serial — but each query
+re-trips the same fallback from scratch: a sick subsystem fails, falls
+back, and is tried again on the very next query, forever.  This module converts *repeated*
 fallback events into **sticky demotions** with timed probation, the way
 the QueryTorque exemplar routes an observed failure symptom to a
 concrete remediation tier instead of retrying blindly.

@@ -18,6 +18,7 @@ import itertools
 
 import pytest
 
+import repro
 from repro.engine import (
     ColumnBatch,
     DEFAULT_BATCH_ROWS,
@@ -35,7 +36,7 @@ from repro.engine.columnar import (
 from repro.engine.evaluator import Evaluator
 from repro.engine.schema import RelSchema, Scope
 from repro.engine.stats import Stats
-from repro.resilience import FAULTS, SITE_VECTORIZED_EVAL
+from repro.resilience import FAULTS, SITE_OPERATOR, SITE_VECTORIZED_EVAL
 from repro.sql import parse_condition
 from repro.types import NULL, FALSE, TRUE, UNKNOWN
 from repro.types.values import row_sort_key
@@ -244,13 +245,14 @@ def test_paper_examples_byte_identical_serial(query, small_db):
     assert vectorized.columns == reference.columns
     assert vectorized.rows == reference.rows  # sequence, not just multiset
     # Work accounting is mode-independent; only the path-descriptive
-    # vectorized_*/parallel_* counters (and cache warmth between the
-    # two runs) may differ.
+    # vectorized_*/parallel_* and batch-kernel counters (and cache
+    # warmth between the two runs) may differ.
     for name, value in tuple_stats.as_dict().items():
         if (
             name.startswith("vectorized")
             or name.startswith("parallel")
             or name.startswith("plan_cache")
+            or name in ("predicates_compiled", "compiled_evals")
         ):
             continue
         assert getattr(vec_stats, name) == value, name
@@ -289,6 +291,29 @@ def test_auto_mode_defers_to_armed_faults(small_db):
             stats=stats,
         )
     assert stats.vectorized_batches == 0
+
+
+def test_default_mode_vectorizes_fault_free_connection_reads(
+    small_db, monkeypatch
+):
+    """With no override the production default is "auto": a plain
+    ``repro.connect(db)`` read vectorizes, and the same read with a
+    fault armed runs the tuple path with identical rows."""
+    monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
+    previous = set_default_engine_mode(None)
+    try:
+        assert default_engine_mode() == "auto"
+        sql = "SELECT P.PNO, P.PNAME FROM PARTS P WHERE P.COLOR = 'RED'"
+        conn = repro.connect(small_db)
+        clean = conn.execute(sql)
+        assert clean.executed.stats["vectorized_batches"] > 0
+        # probability=0.0 arms the injector without ever firing.
+        with FAULTS.inject(SITE_OPERATOR, probability=0.0):
+            armed = conn.execute(sql)
+        assert armed.executed.stats.get("vectorized_batches", 0) == 0
+        assert armed.fetchall() == clean.fetchall()
+    finally:
+        set_default_engine_mode(previous)
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,20 @@
-"""Compiled predicates must agree with the interpretive Evaluator.
+"""Batch-kernel compilation must agree with the interpretive Evaluator.
 
-The compiler's contract is "identical by construction": anything it
-cannot reproduce exactly (subqueries, outer references, unbound host
-variables, ambiguous names) aborts compilation, and everything it does
-compile returns the same three-valued verdict as
-:meth:`Evaluator.predicate` — including on NULL-heavy rows, where the
-short-circuit and folding rules are easiest to get wrong.
+The batch compiler's contract is "identical by construction": anything
+it cannot reproduce exactly (subqueries, outer references, unbound host
+variables, ambiguous names) aborts compilation, constant subtrees fold
+at compile time, and everything it does compile returns the same
+three-valued verdict as :meth:`Evaluator.predicate`.  These cases run
+the kernels on one-row batches — the shape a key-bound IndexScan feeds
+a vectorized parent — where every lane is also the whole batch.  The
+whole-grid batches live in ``test_columnar.py``.
 """
 
 import itertools
 
 import pytest
 
-from repro.engine import compile_filter, compile_predicate, set_compilation_enabled
+from repro.engine import ColumnBatch, compile_batch_filter, compile_batch_predicate
 from repro.engine.evaluator import Evaluator
 from repro.engine.schema import RelSchema, Scope
 from repro.sql import parse_condition
@@ -51,19 +53,26 @@ CONDITIONS = [
 PARAMS = {"P": 1, "Q": "X"}
 
 
+def _verdict(masks: tuple[int, int]):
+    """The tristate of a one-lane ``(true, unknown)`` mask pair."""
+    true_mask, unknown_mask = masks
+    return TRUE if true_mask else UNKNOWN if unknown_mask else FALSE
+
+
 @pytest.mark.parametrize("text", CONDITIONS)
 def test_compiled_verdicts_match_interpreter_on_null_heavy_rows(text):
     expr = parse_condition(text)
     evaluator = Evaluator(params=PARAMS)
-    predicate = compile_predicate(expr, SCHEMA, PARAMS)
-    row_test = compile_filter(expr, SCHEMA, PARAMS)
+    predicate = compile_batch_predicate(expr, SCHEMA, PARAMS)
+    row_test = compile_batch_filter(expr, SCHEMA, PARAMS)
     assert predicate is not None and row_test is not None
     for row in ROWS:
+        batch = ColumnBatch.from_rows([row], 3)
         scope = Scope(SCHEMA, row)
         expected = evaluator.predicate(expr, scope)
-        assert predicate(row) is expected, f"{text} on {row}"
-        # compile_filter applies the false-interpretation ⌊P⌋.
-        assert row_test(row) == evaluator.qualifies(expr, scope)
+        assert _verdict(predicate(batch)) is expected, f"{text} on {row}"
+        # compile_batch_filter applies the false-interpretation ⌊P⌋.
+        assert bool(row_test(batch)) == evaluator.qualifies(expr, scope)
 
 
 @pytest.mark.parametrize(
@@ -81,11 +90,11 @@ def test_compiled_verdicts_match_interpreter_on_null_heavy_rows(text):
     ],
 )
 def test_constant_subtrees_fold_at_compile_time(text, verdict):
-    predicate = compile_predicate(parse_condition(text), SCHEMA, PARAMS)
+    predicate = compile_batch_predicate(parse_condition(text), SCHEMA, PARAMS)
     assert predicate is not None
-    # A folded predicate never reads the row: the empty tuple would
+    # A folded kernel never reads a column: a zero-width batch would
     # raise IndexError on any surviving column access.
-    assert predicate(()) is verdict
+    assert _verdict(predicate(ColumnBatch.from_rows([()], 0))) is verdict
 
 
 @pytest.mark.parametrize(
@@ -100,8 +109,8 @@ def test_constant_subtrees_fold_at_compile_time(text, verdict):
 )
 def test_uncompilable_expressions_fall_back(text):
     expr = parse_condition(text)
-    assert compile_predicate(expr, SCHEMA, PARAMS) is None
-    assert compile_filter(expr, SCHEMA, PARAMS) is None
+    assert compile_batch_predicate(expr, SCHEMA, PARAMS) is None
+    assert compile_batch_filter(expr, SCHEMA, PARAMS) is None
 
 
 def test_ambiguous_unqualified_column_falls_back():
@@ -110,23 +119,12 @@ def test_ambiguous_unqualified_column_falls_back():
     joined = RelSchema.for_table("R", ["A"]).concat(
         RelSchema.for_table("S", ["A"])
     )
-    assert compile_predicate(parse_condition("A = 1"), joined) is None
+    assert compile_batch_predicate(parse_condition("A = 1"), joined) is None
     # A qualified reference stays compilable.
-    qualified = compile_predicate(parse_condition("R.A = 1"), joined)
+    qualified = compile_batch_predicate(parse_condition("R.A = 1"), joined)
     assert qualified is not None
-    assert qualified((1, 2)) is TRUE
+    assert _verdict(qualified(ColumnBatch.from_rows([(1, 2)], 2))) is TRUE
 
 
 def test_compile_filter_none_expr_means_no_test():
-    assert compile_filter(None, SCHEMA) is None
-
-
-def test_compilation_toggle_disables_and_restores():
-    expr = parse_condition("A = 1")
-    previous = set_compilation_enabled(False)
-    try:
-        assert compile_predicate(expr, SCHEMA) is None
-        assert compile_filter(expr, SCHEMA) is None
-    finally:
-        assert set_compilation_enabled(previous) is False
-    assert compile_predicate(expr, SCHEMA) is not None
+    assert compile_batch_filter(None, SCHEMA) is None

@@ -141,6 +141,25 @@ def test_interpreter_correlated_exists_probes_fk_index(db):
     assert probe_stats.predicate_evals < scan_stats.predicate_evals
 
 
+@pytest.mark.parametrize("pno, expected, index_rows", [(11, [1], 1), (NULL, [], 0)])
+def test_interpreter_probe_narrows_by_every_bound_key_column(
+    db, pno, expected, index_rows
+):
+    """P.SNO = S.SNO picks the FK index; P.PNO = :N narrows each bucket
+    to the one row the whole key allows (none for a NULL probe)."""
+    sql = (
+        "SELECT S.SNO FROM S WHERE EXISTS "
+        "(SELECT * FROM P WHERE P.SNO = S.SNO AND P.PNO = :N)"
+    )
+    probe_stats = Stats()
+    probed = execute(sql, db, params={"N": pno}, stats=probe_stats)
+    scanned = execute(sql, db, params={"N": pno}, use_indexes=False)
+    assert probed.same_rows(scanned)
+    assert sorted(row[0] for row in probed.rows) == expected
+    assert probe_stats.index_probes == probe_stats.subquery_executions == 3
+    assert probe_stats.index_rows == index_rows
+
+
 def test_missing_host_variable_raises_on_both_paths(db):
     sql = "SELECT CITY FROM S WHERE SNO = :N"
     for use_indexes in (True, False):

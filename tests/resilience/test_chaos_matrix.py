@@ -9,8 +9,12 @@ ways:
 * a typed :class:`~repro.errors.ReproError`.
 
 A wrong answer, or a raw non-library exception escaping the engine, is
-a failure.  The matrix seed is settable via ``CHAOS_SEED`` so CI can
-fan the sweep out over several deterministic replays.
+a failure, and so is a scenario whose site never sees a trigger
+opportunity: it would pass without testing anything.  The batch
+compiler's sites run with ``engine_mode="vectorized"``, because the
+default ``"auto"`` runs the tuple path while faults are armed.  The
+matrix seed is settable via ``CHAOS_SEED`` so CI can fan the sweep out
+over several deterministic replays.
 """
 
 import os
@@ -22,19 +26,19 @@ from repro import clear_all_caches
 from repro.api import run_with_options
 from repro.engine import execute_planned
 from repro.options import ExecutionOptions
-from repro.core.rewrite import unquarantine_all
+from repro.core.rewrite import Optimizer, unquarantine_all
 from repro.errors import ReproError
 from repro.ims import ImsGateway
 from repro.resilience import (
     FAULTS,
     SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_DLI,
     SITE_FINGERPRINT,
     SITE_INDEX_BUILD,
     SITE_OPERATOR,
     SITE_PLAN_CACHE,
     SITE_UNIQUENESS,
+    SITE_VECTORIZED_EVAL,
     RetryPolicy,
 )
 from repro.workloads import (
@@ -50,8 +54,7 @@ CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 #: Engine-side fault scenarios: (site, kwargs) applied one at a time.
 ENGINE_SCENARIOS = [
     (SITE_COMPILE, {}),
-    (SITE_COMPILED_EVAL, {"after": 1, "times": 1}),
-    (SITE_COMPILED_EVAL, {"probability": 0.3}),
+    (SITE_VECTORIZED_EVAL, {"after": 1, "times": 1}),
     (SITE_PLAN_CACHE, {}),
     (SITE_INDEX_BUILD, {}),
     (SITE_FINGERPRINT, {}),
@@ -59,6 +62,9 @@ ENGINE_SCENARIOS = [
     (SITE_OPERATOR, {"after": 5, "times": 1}),
     (SITE_OPERATOR, {"probability": 0.05}),
 ]
+
+#: Sites reached only by the batch compiler and kernels.
+VECTORIZED_SITES = {SITE_COMPILE, SITE_VECTORIZED_EVAL}
 
 SCALE = SupplierScale(suppliers=10, parts_per_supplier=4, agents_per_supplier=2)
 
@@ -94,49 +100,86 @@ def baselines(db):
     return _baselines(db)
 
 
+def _target(data, db, site):
+    """The database a faulted run uses: lazy hash indexes are built
+    once per database, so only a cold one reaches ``index_build``."""
+    return build_database(data) if site == SITE_INDEX_BUILD else db
+
+
+def _mode(site):
+    return "vectorized" if site in VECTORIZED_SITES else None
+
+
+def _engine_run(query, database, site):
+    """``execute_planned`` on the path that reaches *site*.
+
+    Algorithm 1 runs only inside the optimizer, so the ``uniqueness``
+    scenario rewrites the query first (the rewrites preserve the
+    multiset, so the raw baselines still apply).
+    """
+    sql = query.sql
+    if site == SITE_UNIQUENESS:
+        sql = Optimizer.for_relational(database.catalog).optimize(sql).query
+    return execute_planned(
+        sql, database, params=query.params, engine_mode=_mode(site)
+    )
+
+
 @pytest.mark.parametrize(
     "site,kwargs",
     ENGINE_SCENARIOS,
     ids=lambda value: str(value),
 )
-def test_chaos_engine_matrix(db, baselines, site, kwargs):
+def test_chaos_engine_matrix(data, db, baselines, site, kwargs):
     FAULTS.seed(CHAOS_SEED)
+    triggered = 0
     for query in PAPER_QUERIES:
         clear_all_caches()
-        with FAULTS.inject(site, **kwargs):
+        database = _target(data, db, site)
+        with FAULTS.inject(site, **kwargs) as spec:
             try:
-                result = execute_planned(query.sql, db, params=query.params)
+                result = _engine_run(query, database, site)
             except ReproError:
                 continue  # typed failure: acceptable outcome
+            finally:
+                triggered += spec.triggered
             # Any non-ReproError exception propagates and fails the test.
         assert result.multiset() == baselines[query.example], (
             f"E{query.example} returned a wrong answer under a "
             f"{site!r} fault"
         )
+    assert triggered > 0, f"no query reached the {site!r} site"
 
 
 @pytest.mark.parametrize("site,kwargs", ENGINE_SCENARIOS[:6], ids=str)
-def test_chaos_guarded_matrix(db, baselines, site, kwargs):
+def test_chaos_guarded_matrix(data, db, baselines, site, kwargs):
     """The read pipeline under the same faults: safe mode may not lie
     either."""
     FAULTS.seed(CHAOS_SEED)
     rng = random.Random(CHAOS_SEED)
+    triggered = 0
     for query in PAPER_QUERIES:
         if query.example in ("10", "11"):
             continue  # navigational-profile examples: exercised via IMS
         clear_all_caches()
         unquarantine_all()
-        with FAULTS.inject(site, **kwargs):
+        database = _target(data, db, site)
+        with FAULTS.inject(site, **kwargs) as spec:
             try:
                 outcome = run_with_options(
                     query.sql,
-                    db,
+                    database,
                     params=query.params,
-                    options=ExecutionOptions(safe_mode=rng.random() < 0.5),
+                    options=ExecutionOptions(
+                        safe_mode=rng.random() < 0.5, engine_mode=_mode(site)
+                    ),
                 )
             except ReproError:
                 continue
+            finally:
+                triggered += spec.triggered
         assert outcome.result.multiset() == baselines[query.example]
+    assert triggered > 0, f"no query reached the {site!r} site"
 
 
 def test_chaos_gateway_transients(ims_db):

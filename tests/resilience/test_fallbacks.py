@@ -8,7 +8,6 @@ from repro.errors import InjectedFaultError
 from repro.resilience import (
     FAULTS,
     SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_INDEX_BUILD,
     SITE_OPERATOR,
     SITE_PLAN_CACHE,
@@ -19,10 +18,6 @@ FILTER_SQL = (
     "WHERE P.COLOR = 'RED' AND P.PNO > 9"
 )
 KEYED_SQL = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = 2"
-JOIN_SQL = (
-    "SELECT S.SNAME, P.PNO FROM SUPPLIER S, PARTS P "
-    "WHERE S.SNO = P.SNO AND P.COLOR = 'RED'"
-)
 
 
 def _clean(sql, db, **kwargs):
@@ -31,45 +26,22 @@ def _clean(sql, db, **kwargs):
 
 
 def test_compile_fault_falls_back_to_interpreter(tiny_db):
-    expected, clean = _clean(FILTER_SQL, tiny_db)
+    # Pinned to the vectorized engine: under "auto" an armed fault runs
+    # the tuple path, which never compiles a kernel.
+    expected, clean = _clean(FILTER_SQL, tiny_db, engine_mode="vectorized")
     assert clean.compiled_evals > 0  # the fast path is normally taken
 
     stats = Stats()
-    with FAULTS.inject(SITE_COMPILE):
-        result = execute_planned(FILTER_SQL, tiny_db, stats=stats)
-
-    assert result.same_rows(expected)
-    assert stats.compile_fallbacks >= 1
-    assert stats.compiled_evals == 0  # nothing ever compiled
-    assert stats.predicate_evals == clean.predicate_evals
-
-
-def test_compiled_predicate_fails_mid_stream(tiny_db):
-    # Pinned to the tuple interpreter: this test verifies the per-row
-    # demotion arithmetic of the row-at-a-time path.  The vectorized
-    # path's demotion has its own site (vectorized_eval) and coverage.
-    expected, clean = _clean(FILTER_SQL, tiny_db, engine_mode="tuple")
-
-    stats = Stats()
-    # Let the closure evaluate two rows, then blow up once: the operator
-    # must re-evaluate THAT row interpretively and finish the stream.
-    with FAULTS.inject(SITE_COMPILED_EVAL, after=2, times=1):
+    with FAULTS.inject(SITE_COMPILE) as spec:
         result = execute_planned(
-            FILTER_SQL, tiny_db, stats=stats, engine_mode="tuple"
+            FILTER_SQL, tiny_db, stats=stats, engine_mode="vectorized"
         )
 
-    assert result.same_rows(expected)
-    assert stats.compile_fallbacks >= 1
-    assert 0 < stats.compiled_evals < stats.predicate_evals
+    assert spec.triggered > 0
+    assert result.rows == expected.rows
+    assert stats.vectorized_fallbacks >= 1
+    assert stats.compiled_evals == 0  # nothing ever compiled
     assert stats.predicate_evals == clean.predicate_evals
-
-
-def test_join_residual_falls_back_mid_stream(tiny_db):
-    expected, _ = _clean(JOIN_SQL, tiny_db)
-    stats = Stats()
-    with FAULTS.inject(SITE_COMPILED_EVAL, after=1, times=1):
-        result = execute_planned(JOIN_SQL, tiny_db, stats=stats)
-    assert result.same_rows(expected)
 
 
 def test_index_build_fault_falls_back_to_scan(tiny_db):
@@ -110,10 +82,10 @@ def test_fallbacks_preserve_warm_cache_correctness(tiny_db):
     """A faulted run must not leave anything poisoned behind."""
     expected, _ = _clean(FILTER_SQL, tiny_db)
     with FAULTS.inject(SITE_COMPILE):
-        execute_planned(FILTER_SQL, tiny_db)
+        execute_planned(FILTER_SQL, tiny_db, engine_mode="vectorized")
     # Fault disarmed: the same text must take the fast path again, warm.
     stats = Stats()
     result = execute_planned(FILTER_SQL, tiny_db, stats=stats)
     assert result.same_rows(expected)
     assert stats.compiled_evals > 0
-    assert stats.compile_fallbacks == 0
+    assert stats.vectorized_fallbacks == 0

@@ -110,12 +110,12 @@ class TestFaultInjector:
     def test_wrap_callable_passthrough_when_site_unarmed(self):
         injector = FaultInjector()
         fn = lambda row: True  # noqa: E731
-        assert injector.wrap_callable("compiled_eval", fn) is fn
+        assert injector.wrap_callable("vectorized_eval", fn) is fn
 
     def test_wrap_callable_fires_per_call(self):
         injector = FaultInjector()
-        injector.arm(FaultSpec("compiled_eval", after=1, times=1))
-        wrapped = injector.wrap_callable("compiled_eval", lambda x: x + 1)
+        injector.arm(FaultSpec("vectorized_eval", after=1, times=1))
+        wrapped = injector.wrap_callable("vectorized_eval", lambda x: x + 1)
         assert wrapped is not None and wrapped(1) == 2
         with pytest.raises(InjectedFaultError):
             wrapped(1)

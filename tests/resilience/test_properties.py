@@ -18,11 +18,11 @@ from repro.errors import ReproError
 from repro.resilience import (
     FAULTS,
     SITE_COMPILE,
-    SITE_COMPILED_EVAL,
     SITE_FINGERPRINT,
     SITE_INDEX_BUILD,
     SITE_OPERATOR,
     SITE_PLAN_CACHE,
+    SITE_VECTORIZED_EVAL,
 )
 from repro.workloads import (
     GeneratorConfig,
@@ -36,7 +36,7 @@ COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 FAULT_SITES = [
     SITE_COMPILE,
-    SITE_COMPILED_EVAL,
+    SITE_VECTORIZED_EVAL,
     SITE_PLAN_CACHE,
     SITE_INDEX_BUILD,
     SITE_FINGERPRINT,
@@ -65,9 +65,13 @@ def test_faulted_executions_never_poison_caches(seed, site, after):
     baseline = execute_planned(query, database).multiset()
 
     clear_all_caches()
+    # The batch compiler's sites live on the vectorized path only; the
+    # default "auto" runs the tuple path while a fault is armed.
+    vectorized_sites = (SITE_COMPILE, SITE_VECTORIZED_EVAL)
+    mode = "vectorized" if site in vectorized_sites else None
     with FAULTS.inject(site, after=after, times=1):
         try:
-            faulted = execute_planned(query, database)
+            faulted = execute_planned(query, database, engine_mode=mode)
         except ReproError:
             faulted = None  # typed failure: acceptable, rows discarded
         if faulted is not None:

@@ -173,11 +173,14 @@ def test_query_errors_propagate_typed(db):
 
 #: Chaos scenarios exercised on service workers (subset of the engine
 #: matrix: one cache site, one compile site, one probabilistic operator
-#: fault — the shapes with distinct fallback ladders).
+#: fault — the shapes with distinct fallback ladders), each with the
+#: engine mode that reaches its site: the batch compiler runs only on
+#: the vectorized path, and "auto" takes the tuple path while faults
+#: are armed.
 SERVICE_CHAOS = [
-    (SITE_PLAN_CACHE, {}),
-    (SITE_COMPILE, {}),
-    (SITE_OPERATOR, {"probability": 0.05}),
+    (SITE_PLAN_CACHE, {}, None),
+    (SITE_COMPILE, {}, "vectorized"),
+    (SITE_OPERATOR, {"probability": 0.05}, None),
 ]
 
 
@@ -185,12 +188,14 @@ SERVICE_CHAOS = [
 def test_chaos_matrix_under_service(db, baselines, seed):
     """The chaos contract holds when executions run on service workers:
     every outcome is the correct multiset or a typed ReproError."""
-    for site, kwargs in SERVICE_CHAOS:
+    for site, kwargs, mode in SERVICE_CHAOS:
         FAULTS.seed(seed)
         clear_all_caches()
-        with FAULTS.inject(site, **kwargs):
+        with FAULTS.inject(site, **kwargs) as spec:
             with QueryService(workers=4) as service:
-                session = service.session(db)
+                session = service.session(
+                    db, options=ExecutionOptions(engine_mode=mode)
+                )
                 tickets = [
                     service.submit(session, query.sql, query.params)
                     for query in PAPER_QUERIES
@@ -210,3 +215,4 @@ def test_chaos_matrix_under_service(db, baselines, seed):
                         f"E{example} wrong under {site!r} fault "
                         f"(seed {seed}) on a service worker"
                     )
+        assert spec.triggered > 0, f"no worker reached the {site!r} site"
