@@ -10,12 +10,22 @@ Two mechanisms attack the engine's interpretive overheads:
 Compiled predicates are the columnar engine's business: E17a gates the
 batch-kernel selection path against the interpreter.
 
+E12d gates the statement cache: a warm point lookup through
+``repro.connect(db)`` runs no parser, optimizer or printer, so it costs
+at most 2x ``execute_planned`` on the pre-parsed query (which prints
+the query for its plan-cache key on every call).
+
 Every table in this module lands in ``BENCH_hotpath.json``.
 """
 
+import statistics
+
+import repro
 from repro import Stats, clear_all_caches, set_caches_enabled, test_uniqueness
-from repro.bench import ExperimentReport, speedup, timed
+from repro.bench import ExperimentReport, paired_times, quartiles, speedup, timed
 from repro.engine import PlanCache, execute_planned
+from repro.engine.planner import PreparedQuery
+from repro.sql import parse_query
 from repro.workloads import SupplierScale, build_database, generate
 
 # The E10 CASE-tool audit templates (5 provably redundant, 5 required).
@@ -228,3 +238,88 @@ def test_e12_keyed_lookup_plan_cache(benchmark, bench_db):
         )
     )
     assert len(result.rows) == 1
+
+
+POINT_SQL = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = :N"
+POINT_BATCH = 200
+POINT_PAIRS = 15
+MAX_FACADE_RATIO = 2.0
+
+
+def test_e12_connection_point_lookup_within_2x_execute_planned(bench_db):
+    """A warm ``Connection`` point lookup costs at most 2x
+    ``execute_planned`` on the pre-parsed query.
+
+    Both arms run the same 200 key lookups, warm: the facade arm through
+    ``repro.connect(db).execute(...).fetchall()`` (statement cache, read
+    pipeline, cursor), the baseline through ``execute_planned`` on the
+    parsed query, which still prints it with ``to_sql`` on every call to
+    key the plan cache.  The arms alternate batch by batch and the gate
+    is the median per-pair ratio, so host drift hits both alike.  A
+    third, ungated row shows ``execute_planned`` on a pre-printed
+    ``PreparedQuery`` (no ``to_sql`` either): execution alone.  The
+    note reports the facade's ratio to that row; it is not gated.
+    """
+    clear_all_caches()
+    conn = repro.connect(bench_db)
+    parsed = parse_query(POINT_SQL)
+    prepared = PreparedQuery.of(parsed)
+    keys = [1 + i % 300 for i in range(POINT_BATCH)]
+
+    def facade():
+        return sum(
+            len(conn.execute(POINT_SQL, {"N": n}).fetchall()) for n in keys
+        )
+
+    def planned(query=parsed):
+        return sum(
+            len(execute_planned(query, bench_db, params={"N": n}).rows)
+            for n in keys
+        )
+
+    assert facade() == planned() == planned(prepared) == POINT_BATCH
+    facade_times, planned_times = paired_times(facade, planned, POINT_PAIRS)
+    prepared_times = [
+        timed(lambda: planned(prepared))[1] for _ in range(POINT_PAIRS)
+    ]
+    q1, ratio, q3 = quartiles(
+        [f / p for f, p in zip(facade_times, planned_times)]
+    )
+
+    def per_statement_us(times):
+        return statistics.median(times) / POINT_BATCH * 1e6
+
+    report = ExperimentReport(
+        experiment="E12d: warm point lookup, Connection vs execute_planned",
+        claim="the statement cache leaves a warm Connection lookup within "
+        "2x execute_planned on the pre-parsed query",
+        columns=["path", "us/statement", "ratio"],
+        slug="hotpath",
+    )
+    report.add_row(
+        "execute_planned(PreparedQuery)",
+        per_statement_us(prepared_times),
+        statistics.median(prepared_times) / statistics.median(planned_times),
+    )
+    report.add_row(
+        "execute_planned(parsed query)", per_statement_us(planned_times), 1.0
+    )
+    report.add_row(
+        "repro.connect(db).execute + fetchall",
+        per_statement_us(facade_times),
+        ratio,
+    )
+    report.note(
+        f"{POINT_BATCH} key lookups per batch, {POINT_PAIRS} adjacent "
+        "pairs, order alternating; ratio = median per-pair ratio against "
+        f"execute_planned(parsed query), quartiles {q1:.3f} / {q3:.3f}; "
+        "against execute_planned(PreparedQuery) the facade reads "
+        f"{statistics.median(facade_times) / statistics.median(prepared_times):.2f}x"
+        " (ungated)"
+    )
+    report.show()
+
+    assert ratio <= MAX_FACADE_RATIO, (
+        f"a warm Connection point lookup costs {ratio:.2f}x "
+        "execute_planned"
+    )

@@ -11,8 +11,10 @@ executions of rewritten queries.
 The workload is the E12 warm path: templated keyed lookups (E12c),
 filter scans (vectorized under the default engine mode), and a
 correlated EXISTS probe (E12b), all with warm plan/analysis caches.
-Two isolated comparisons, each measured *interleaved* (alternating the
-two arms batch-by-batch) so machine drift hits both arms equally:
+Two isolated comparisons, each measured in adjacent pairs
+(:func:`repro.bench.paired_times`: the two arms back to back, their
+order alternating pair by pair) so machine drift hits both arms
+equally:
 
 * ``execute_planned`` bare vs. with an armed guard — the pure tick
   overhead, as the median per-pair ratio;
@@ -21,12 +23,17 @@ two arms batch-by-batch) so machine drift hits both arms equally:
   (a directly timed execution of the unrewritten plan) amortized at its
   exact 1-in-25 rate, the way a long session pays it.
 
-Both ratios must stay under 1.05.  Lands in ``BENCH_e13.json``.
+The statement cache makes a warm ``run_with_options`` batch cost little
+more than its execution, so a fixed per-statement cost weighs more in
+these ratios than it did.  Twenty-one pairs per comparison keep the
+median's quartile spread (reported) within a few percent, so a 5%
+effect shows against the 1.05 bound.  Both ratios must stay under 1.05.
+Lands in ``BENCH_e13.json``.
 """
 
 from repro import clear_all_caches
 from repro.api import run_with_options
-from repro.bench import ExperimentReport, timed
+from repro.bench import ExperimentReport, paired_times, quartiles, timed
 from repro.engine import PlanCache, execute_planned
 from repro.options import ExecutionOptions
 from repro.resilience import FAULTS, ResourceBudget
@@ -50,32 +57,14 @@ BATCH = (
     + [(SCAN_SQL, None)] * 20
     + [(EXISTS_SQL, {"PN": 3})]
 )
-TICK_REPEATS = 9
+TICK_PAIRS = 21
 SAMPLE_EVERY = 25
-SAFE_REPEATS = 15
+# Fewer pairs than SAMPLE_EVERY: no measured safe batch runs a check.
+SAFE_PAIRS = 21
 BUDGET = ResourceBudget(timeout=120.0, row_budget=500_000_000)
 PLAIN = ExecutionOptions()
 SAFE = ExecutionOptions.create(budget=BUDGET, safe_mode=True)
 MAX_OVERHEAD = 1.05
-
-
-def _interleaved(arm_a, arm_b, pairs):
-    """Alternate the two arms batch-by-batch; per-arm sample lists."""
-    times_a, times_b = [], []
-    for _ in range(pairs):
-        _, elapsed = timed(arm_a)
-        times_a.append(elapsed)
-        _, elapsed = timed(arm_b)
-        times_b.append(elapsed)
-    return times_a, times_b
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def test_e13_guard_and_safe_mode_overhead(bench_db):
@@ -120,14 +109,14 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
     assert expected > len(BATCH)
     assert ticked_batch() == expected
 
-    bare_times, ticked_times = _interleaved(
-        bare_batch, ticked_batch, TICK_REPEATS
+    ticked_times, bare_times = paired_times(
+        ticked_batch, bare_batch, TICK_PAIRS
     )
     t_bare, t_ticked = min(bare_times), min(ticked_times)
     # Each pair ran back-to-back, so the per-pair ratio cancels machine
     # drift; the median ignores pairs hit by a load spike or GC pause.
-    tick_ratio = _median(
-        ticked / bare for ticked, bare in zip(ticked_times, bare_times)
+    tick_q1, tick_ratio, tick_q3 = quartiles(
+        [ticked / bare for ticked, bare in zip(ticked_times, bare_times)]
     )
 
     # Safe-mode cost has two parts.  The always-on bookkeeping (budget
@@ -139,12 +128,12 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
     safe_kwargs = dict(options=SAFE, sample_every=SAMPLE_EVERY)
     assert guarded_batch() == expected
     assert guarded_batch(**safe_kwargs) == expected  # consumes sample 0
-    plain_times, safe_times = _interleaved(
-        guarded_batch, lambda: guarded_batch(**safe_kwargs), SAFE_REPEATS
+    safe_times, plain_times = paired_times(
+        lambda: guarded_batch(**safe_kwargs), guarded_batch, SAFE_PAIRS
     )
-    t_plain = _median(plain_times)
-    bookkeeping_ratio = _median(
-        safe / plain for safe, plain in zip(safe_times, plain_times)
+    _, t_plain, _ = quartiles(plain_times)
+    safe_q1, bookkeeping_ratio, safe_q3 = quartiles(
+        [safe / plain for safe, plain in zip(safe_times, plain_times)]
     )
     t_reference = min(
         timed(
@@ -182,7 +171,13 @@ def test_e13_guard_and_safe_mode_overhead(bench_db):
     )
     report.note(
         "batch = 50 keyed lookups + 20 filter scans + 1 correlated "
-        "EXISTS; arms interleaved batch-by-batch against machine drift"
+        f"EXISTS; {TICK_PAIRS}/{SAFE_PAIRS} adjacent pairs, order "
+        "alternating, against machine drift"
+    )
+    report.note(
+        f"pair-ratio quartiles: guard {tick_q1:.4f} / {tick_ratio:.4f} / "
+        f"{tick_q3:.4f}; safe-mode bookkeeping {safe_q1:.4f} / "
+        f"{bookkeeping_ratio:.4f} / {safe_q3:.4f}"
     )
     report.note(
         f"safe-mode overhead = always-on bookkeeping (median pair "

@@ -12,9 +12,11 @@ analysis caches):
   the site count is taken from an enabled batch's span count — an upper
   bound, since a disabled site pays strictly less than a span-producing
   one.
-* **Enabled** tracing costs under 15%, measured interleaved (alternating
-  enabled and disabled batches pair-by-pair, median per-pair ratio) so
-  machine drift hits both arms equally.
+* **Enabled** tracing costs under 15%, measured in adjacent pairs
+  (:func:`repro.bench.paired_times`: enabled and disabled batches back
+  to back, their order alternating pair by pair; median per-pair ratio)
+  so machine drift hits both arms equally.  Twenty-one pairs keep the
+  median's quartile spread (reported) within a few percent.
 
 Lands in ``BENCH_e14.json`` with the batch's engine-counter deltas.
 """
@@ -22,7 +24,7 @@ Lands in ``BENCH_e14.json`` with the batch's engine-counter deltas.
 from time import perf_counter
 
 from repro import Stats, clear_all_caches
-from repro.bench import ExperimentReport, timed
+from repro.bench import ExperimentReport, paired_times, quartiles
 from repro.engine import PlanCache, execute_planned
 from repro.observe import NULL_SPAN, TRACER, set_tracing
 
@@ -41,28 +43,9 @@ BATCH = (
     + [(SCAN_SQL, None)] * 20
     + [(EXISTS_SQL, {"PN": 3})]
 )
-REPEATS = 9
+PAIRS = 21
 MAX_DISABLED_OVERHEAD = 0.02
 MAX_ENABLED_RATIO = 1.15
-
-
-def _interleaved(arm_a, arm_b, pairs):
-    """Alternate the two arms batch-by-batch; per-arm sample lists."""
-    times_a, times_b = [], []
-    for _ in range(pairs):
-        _, elapsed = timed(arm_a)
-        times_a.append(elapsed)
-        _, elapsed = timed(arm_b)
-        times_b.append(elapsed)
-    return times_a, times_b
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _disabled_hook_cost(iterations=200_000):
@@ -127,17 +110,19 @@ def _run_e14(bench_db):
     assert TRACER.truncated == 0
 
     stats_before = batch_stats.snapshot()
-    disabled_times, enabled_times = _interleaved(
-        disabled_batch, enabled_batch, REPEATS
+    enabled_times, disabled_times = paired_times(
+        enabled_batch, disabled_batch, PAIRS
     )
     batch_delta = batch_stats.snapshot() - stats_before
 
-    t_disabled = _median(disabled_times)
+    _, t_disabled, _ = quartiles(disabled_times)
     # Each pair ran back-to-back, so the per-pair ratio cancels machine
     # drift; the median ignores pairs hit by a load spike or GC pause.
-    enabled_ratio = _median(
-        enabled / disabled
-        for enabled, disabled in zip(enabled_times, disabled_times)
+    enabled_q1, enabled_ratio, enabled_q3 = quartiles(
+        [
+            enabled / disabled
+            for enabled, disabled in zip(enabled_times, disabled_times)
+        ]
     )
 
     hook_cost = _disabled_hook_cost()
@@ -168,7 +153,9 @@ def _run_e14(bench_db):
     report.record_stats("interleaved_batches", batch_delta)
     report.note(
         "batch = 50 keyed lookups + 20 filter scans + 1 correlated "
-        "EXISTS; arms interleaved batch-by-batch against machine drift"
+        f"EXISTS; {PAIRS} adjacent pairs, order alternating, against "
+        f"machine drift; enabled pair-ratio quartiles {enabled_q1:.4f} / "
+        f"{enabled_ratio:.4f} / {enabled_q3:.4f}"
     )
     report.note(
         f"disabled share = {spans_per_batch} hook sites/batch (from the "

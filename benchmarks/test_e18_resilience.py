@@ -4,11 +4,12 @@ Two claims about PR 7's machinery (deadlines, the admission controller,
 the degradation ladder, the client breaker):
 
 * **E18a — the healthy path is nearly free.**  Every query now pays
-  for a deadline clamp, a ladder decision over four subsystems, and a
-  post-execution attribution pass.  Replaying a hot statement mix
-  through the same execution core with the machinery off vs fully on
-  must show under 5% overhead — resilience that taxes the common case
-  would never stay enabled.
+  for a deadline clamp, a look at whether the ladder is all healthy
+  (a degraded one decides each tier), and a look at the execution's
+  fault signals (attributed only when one fired).  Replaying a hot
+  statement mix through the same execution core with the machinery
+  off vs fully on must show under 5% overhead — resilience that taxes
+  the common case would never stay enabled.
 * **E18b — shedding caps batch latency under a storm.**  With the
   single worker stalled behind simulated I/O, batch clients against an
   adaptive-shedding service see a bounded p99 (rejections are instant
@@ -143,7 +144,7 @@ def test_e18a_healthy_path_overhead_under_5_percent():
     n = per_round
     report = ExperimentReport(
         experiment="E18a: hot statement mix, resilience machinery off vs on",
-        claim="deadline clamp + ladder decision + attribution cost "
+        claim="deadline clamp + ladder and fault-signal checks cost "
         "under 5% on the healthy path",
         columns=["mode", "statements", "t(s)", "per-stmt(us)", "overhead"],
         slug="e18",
@@ -153,8 +154,8 @@ def test_e18a_healthy_path_overhead_under_5_percent():
         "machinery on", n, t_armed, t_armed / n * 1e6, f"{overhead:+.1f}%"
     )
     report.note(
-        "per statement: one Deadline.clamp_timeout, one HealthTracker "
-        "decision over four subsystems, one attribution pass; "
+        "per statement: one Deadline.clamp_timeout, one all-healthy "
+        "check, one fault-signal check; "
         "statement-level ABBA pairing, median paired overhead of 9 "
         "rounds, gc parked during rounds"
     )

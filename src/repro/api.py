@@ -9,7 +9,9 @@
   ``fetchone``/``fetchmany``/``fetchall`` or plain iteration.
 * :func:`run_statement` — the one statement dispatch both the local
   backend and the :class:`~repro.service.QueryService` workers call.
-  It parses the text once and routes it: transaction control to
+  It takes the parsed statement from the statement cache
+  (:mod:`repro.statements`; a miss parses the text) and routes it:
+  transaction control to
   :func:`apply_transaction_control`, DML to
   :func:`run_dml_with_options`, reads to :func:`run_with_options` —
   the one read pipeline: budget guard, rewrite, execution, the
@@ -35,11 +37,10 @@ Quickstart::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Sequence
 
-from .core.rewrite.engine import OptimizeResult, Optimizer
+from .core.rewrite.engine import OptimizeResult
 from .engine.database import Database
 from .engine.parallel import ParallelOptions
 from .engine.plan_cache import PlanCache
@@ -62,6 +63,7 @@ from .resilience.budgets import ExecutionGuard, ResourceBudget
 from .resilience.deadline import Deadline
 from .resilience.guarded import GuardedOutcome, cross_check
 from .resilience.health import (
+    HealthDecision,
     SUBSYSTEM_ESTIMATOR,
     SUBSYSTEM_OPTIMIZER,
     SUBSYSTEM_PARALLEL,
@@ -78,8 +80,8 @@ from .sql.ast import (
     SetOperation,
     Update,
 )
-from .sql.parser import parse
 from .sql.printer import to_sql
+from .statements import CachedStatement, Rewrite, lookup
 
 #: Sentinel distinguishing "argument not passed" from an explicit None
 #: or False in :meth:`Cursor.execute` keyword overrides.
@@ -87,6 +89,19 @@ _UNSET = object()
 
 _TRANSACTION_CONTROL = (BeginTransaction, CommitTransaction, RollbackTransaction)
 _DML = (Insert, Update, Delete)
+
+def _relevance(
+    engine_mode: str, parallel: Any, optimize: bool, use_stats: bool
+) -> dict[str, bool]:
+    """The health ladder's subsystems one read could exercise: the plan
+    cache always, the rest only when the read asks for them."""
+    return {
+        SUBSYSTEM_VECTORIZED: engine_mode != "tuple",
+        SUBSYSTEM_PARALLEL: parallel is not None,
+        SUBSYSTEM_OPTIMIZER: optimize,
+        SUBSYSTEM_PLAN_CACHE: True,
+        SUBSYSTEM_ESTIMATOR: use_stats,
+    }
 
 
 def run_statement(
@@ -101,9 +116,8 @@ def run_statement(
     planner_options: Any | None = None,
     health: Any | None = None,
     on_guard: Any | None = None,
-    statement: Any | None = None,
 ) -> GuardedOutcome:
-    """Parse *sql* once and run it for *host* — the one statement dispatch.
+    """Run the statement *sql* for *host* — the one statement dispatch.
 
     Both the :class:`Connection`'s local backend and the
     :class:`~repro.service.QueryService` workers (hence the HTTP server)
@@ -113,18 +127,17 @@ def run_statement(
     statement runs in (a local backend opens the DB-API implicit one
     there; a service session never opens one).
 
-    ``BEGIN``/``COMMIT``/``ROLLBACK`` go to
-    :func:`apply_transaction_control`; DML runs through
+    The statement comes from the statement cache
+    (:func:`repro.statements.lookup`): a warm text is not parsed again,
+    and a cold one is parsed once.  ``BEGIN``/``COMMIT``/``ROLLBACK`` go
+    to :func:`apply_transaction_control`; DML runs through
     :func:`run_dml_with_options` inside the host's transaction (or its
     own autocommit one); reads run through :func:`run_with_options`
-    against the transaction's pinned snapshot.  The parsed statement
-    travels down with its source text, so nothing below re-parses it;
-    a caller running one text many times passes the parsed *statement*
-    and it is not parsed at all.  The remaining keywords are forwarded
-    to :func:`run_with_options`.
+    against the transaction's pinned snapshot.  The remaining keywords
+    are forwarded to :func:`run_with_options`.
     """
-    if statement is None:
-        statement = parse(sql)
+    entry = lookup(sql, host.database.catalog)
+    statement = entry.statement
     if isinstance(statement, _TRANSACTION_CONTROL):
         return apply_transaction_control(statement, host, host.database, stats)
     options = options if options is not None else ExecutionOptions()
@@ -140,9 +153,8 @@ def run_statement(
             stats=stats,
         )
     return run_with_options(
-        statement,
+        entry,
         host.database if transaction is None else transaction.view(),
-        sql_text=sql,
         params=params,
         options=options,
         stats=stats,
@@ -172,19 +184,25 @@ def run_with_options(
     """Execute *query* under one :class:`ExecutionOptions` value.
 
     This is the one read pipeline below :func:`run_statement`.  In
-    order: parse (when *query* is text), build the budget guard,
-    optimize (skipped when ``options.optimize`` is False), execute the
-    winning form with :func:`~repro.engine.planner.execute_planned`,
+    order: look the statement up (when *query* is text), build the
+    budget guard, optimize (skipped when ``options.optimize`` is False),
+    execute the winning form with
+    :func:`~repro.engine.planner.execute_planned`,
     fold the result into a :class:`GuardedOutcome`, run the safe-mode
     stage (:func:`~repro.resilience.guarded.cross_check`) when a rewrite
     fired, then — with ``options.analyze`` or ``options.adaptive`` — an
     instrumented EXPLAIN ANALYZE run attached as
     :attr:`~repro.resilience.guarded.GuardedOutcome.analysis`.
 
-    *query* is SQL text or a parsed statement; with a parsed statement,
-    *sql_text* is the text it was parsed from (the key safe-mode
-    sampling and cache eviction use; without it the query is printed
-    back to SQL).  DML runs in an implicit single-statement transaction
+    *query* is SQL text, a parsed statement, or a statement-cache entry
+    (:class:`~repro.statements.CachedStatement`).  Text goes through the
+    statement cache, so a warm text is neither parsed nor optimized nor
+    printed again; the optimized part is bypassed when rewrites are off
+    or the health ladder demoted the optimizer.  With a parsed
+    statement, *sql_text* is the text it was parsed from (the key
+    safe-mode sampling and cache eviction use; without it the query is
+    printed back to SQL), and nothing is cached.  DML runs in an
+    implicit single-statement transaction
     that commits before returning.  ``BEGIN``/``COMMIT``/``ROLLBACK``
     are *not* accepted here — transaction lifetime belongs to the owner
     of the transaction (a :class:`Connection` or a service session), so
@@ -218,21 +236,26 @@ def run_with_options(
     options = options if options is not None else ExecutionOptions()
     stats = stats if stats is not None else Stats()
     if isinstance(query, str):
-        sql_text, query = query, parse(query)
-    if isinstance(query, _DML):
+        entry = lookup(query, database.catalog)
+    elif isinstance(query, CachedStatement):
+        entry = query
+    else:  # a parsed statement: nothing is cached
+        if sql_text is None and isinstance(query, (SelectQuery, SetOperation)):
+            sql_text = to_sql(query)
+        entry = CachedStatement.of(query, sql_text)
+    statement, sql_text = entry.statement, entry.text
+    if isinstance(statement, _DML):
         return run_dml_with_options(
-            query, sql_text, database, None, params=params, options=options,
-            stats=stats,
+            statement, sql_text, database, None, params=params,
+            options=options, stats=stats,
         )
-    if isinstance(query, _TRANSACTION_CONTROL):
+    if isinstance(statement, _TRANSACTION_CONTROL):
         raise ProtocolError(
             "transaction control must go through a Connection or a "
             "service session (see run_statement)"
         )
-    if not isinstance(query, (SelectQuery, SetOperation)):
+    if entry.source is None:
         raise ParseError("expected a query")
-    if sql_text is None:
-        sql_text = to_sql(query)
     if options.scan_ranges:
         # Scatter-gather shard execution: run against a read-only
         # row-range view.  Everything below (planner, caches, health)
@@ -248,15 +271,12 @@ def run_with_options(
     use_stats = options.stats or options.adaptive
     adaptive = options.adaptive
     decision = None
-    if health is not None:
+    if health is not None and not health.all_healthy:
+        # A degraded ladder decides every tier; an all-healthy one grants
+        # them all, so the healthy path does not consult it (benchmark
+        # E18a).
         decision = health.decide(
-            {
-                SUBSYSTEM_VECTORIZED: engine_mode != "tuple",
-                SUBSYSTEM_PARALLEL: effective_parallel is not None,
-                SUBSYSTEM_OPTIMIZER: optimize,
-                SUBSYSTEM_PLAN_CACHE: True,
-                SUBSYSTEM_ESTIMATOR: use_stats,
-            }
+            _relevance(engine_mode, effective_parallel, optimize, use_stats)
         )
         if not decision.granted(SUBSYSTEM_VECTORIZED) and engine_mode != "tuple":
             engine_mode = "tuple"
@@ -265,9 +285,10 @@ def run_with_options(
         if not decision.granted(SUBSYSTEM_OPTIMIZER):
             optimize = False
         if not decision.granted(SUBSYSTEM_PLAN_CACHE):
-            # Bypass tier: a throwaway cache keeps the execution path
-            # identical while never reading or writing the shared one.
-            plan_cache = PlanCache()
+            # Bypass tier: a throwaway, unregistered cache keeps the
+            # execution path identical while never reading or writing
+            # the shared one.
+            plan_cache = PlanCache(register=False)
         if not decision.granted(SUBSYSTEM_ESTIMATOR):
             # Heuristic tier: a misbehaving estimator plans like PR 1
             # again — rule join order, fixed selectivities.
@@ -292,13 +313,14 @@ def run_with_options(
                 on_guard(guard)
             # With rewrites off the optimizer is never entered: the
             # query runs as written and the audit trail stays empty.
-            optimized = (
-                Optimizer.for_relational(database.catalog).optimize(query)
+            rewrite = (
+                entry.rewritten(database.catalog)
                 if optimize
-                else OptimizeResult(query)
+                else Rewrite.of(OptimizeResult(statement))
             )
+            optimized = rewrite.result
             result = execute_planned(
-                optimized.query,
+                rewrite.prepared,
                 database,
                 params=params,
                 stats=stats,
@@ -313,9 +335,9 @@ def run_with_options(
                 guarded_span.attributes["guard_rows"] = guard.rows_processed
             outcome = GuardedOutcome(
                 result=result,
-                sql=to_sql(optimized.query),
+                sql=rewrite.prepared.sql,
                 rewritten=optimized.changed,
-                rules=list(dict.fromkeys(step.rule for step in optimized.steps)),
+                rules=list(rewrite.rules),
                 stats=stats,
                 audit=optimized.audit,
                 query=optimized.query,
@@ -324,8 +346,7 @@ def run_with_options(
                 cross_check(
                     outcome,
                     optimized,
-                    query,
-                    sql_text,
+                    entry.source,
                     database,
                     sample_every=sample_every,
                     params=params,
@@ -338,14 +359,29 @@ def run_with_options(
     except ReproError as error:
         # Budget violations and user errors (bad SQL, unknown tables)
         # say nothing about subsystem health; engine-level failures do.
-        if (
-            health is not None
-            and decision is not None
-            and not isinstance(error, (ResourceError, SqlError, CatalogError))
+        if health is not None and not isinstance(
+            error, (ResourceError, SqlError, CatalogError)
         ):
+            if decision is None:
+                decision = HealthDecision.healthy(
+                    _relevance(engine_mode, effective_parallel, optimize, use_stats)
+                )
             health.observe(decision, stats=stats, error=error)
         raise
-    if health is not None and decision is not None:
+    if health is not None and (
+        decision is not None
+        # The fault signals observe() attributes.  Without one, a
+        # healthy ladder's observation would only record oks on healthy
+        # subsystems, which change nothing.
+        or outcome.mismatch
+        or outcome.stats.vectorized_fallbacks
+        or outcome.stats.cache_skips
+        or outcome.stats.estimator_fallbacks
+    ):
+        if decision is None:
+            decision = HealthDecision.healthy(
+                _relevance(engine_mode, effective_parallel, optimize, use_stats)
+            )
         health.observe(decision, stats=outcome.stats, outcome=outcome)
     if (options.analyze or adaptive) and not outcome.mismatch:
         # Re-execute the winning form instrumented; the guarded result
@@ -608,33 +644,16 @@ class _LocalBackend:
         self.database = database
         self.plan_cache = plan_cache
         self.transaction = None
-        # (text, parsed statement or None until first run) inside batch().
-        self._batch: tuple[str, Any] | None = None
 
     def run(
         self, sql: str, params: dict | None, options: ExecutionOptions
     ) -> ExecutedQuery:
-        statement = None
-        if self._batch is not None and self._batch[0] == sql:
-            if self._batch[1] is None:
-                self._batch = (sql, parse(sql))
-            statement = self._batch[1]
         return executed_from_outcome(
             run_statement(
                 sql, self, params=params, options=options,
-                plan_cache=self.plan_cache, statement=statement,
+                plan_cache=self.plan_cache,
             )
         )
-
-    @contextmanager
-    def batch(self, sql: str) -> Iterator[None]:
-        """Within the block, *sql* is parsed at most once, on its first
-        run (``Cursor.executemany``)."""
-        self._batch = (sql, None)
-        try:
-            yield
-        finally:
-            self._batch = None
 
     def transaction_for(self, options: ExecutionOptions) -> Any:
         """The transaction the next statement runs in; with autocommit
@@ -768,7 +787,7 @@ class Cursor:
     ) -> "Cursor":
         """Execute *sql* once per parameter set (DB-API ``executemany``).
 
-        A local connection parses *sql* once for the whole batch.
+        The statement cache parses *sql* once for the whole batch.
         After the call :attr:`rowcount` is the *sum* of the per-set
         affected rows and the fetchable result is the last execution's.
         The statements are not implicitly atomic — open a transaction
@@ -777,12 +796,11 @@ class Cursor:
         """
         total = 0
         last: ExecutedQuery | None = None
-        with self.connection._backend.batch(sql):
-            for params in seq_of_params:
-                self.execute(sql, params, **kwargs)
-                assert self._executed is not None
-                total += max(self._executed.rowcount, 0)
-                last = self._executed
+        for params in seq_of_params:
+            self.execute(sql, params, **kwargs)
+            assert self._executed is not None
+            total += max(self._executed.rowcount, 0)
+            last = self._executed
         if last is None:  # zero parameter sets: a completed empty batch
             last = ExecutedQuery(columns=[], rows=[], sql=sql)
         last.rowcount = total

@@ -5,6 +5,8 @@ from .harness import (
     REPORTS,
     ExperimentReport,
     geometric_sweep,
+    paired_times,
+    quartiles,
     speedup,
     timed,
     write_reports,
@@ -15,6 +17,8 @@ __all__ = [
     "RENDERED_REPORTS",
     "REPORTS",
     "geometric_sweep",
+    "paired_times",
+    "quartiles",
     "speedup",
     "timed",
     "write_reports",

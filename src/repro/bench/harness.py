@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -197,6 +198,31 @@ def timed(fn: Callable[[], Any]) -> tuple[Any, float]:
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+def paired_times(
+    arm: Callable[[], Any], baseline: Callable[[], Any], pairs: int
+) -> tuple[list[float], list[float]]:
+    """Time *arm* and *baseline* back to back, *pairs* times.
+
+    The order alternates pair by pair (arm first, then baseline first),
+    so host drift and whatever one run leaves for the next (a GC cycle,
+    a warmed cache line) hit both arms alike.  Divide the two lists
+    element-wise and take the median for a drift-free ratio.
+    """
+    arm_times: list[float] = []
+    baseline_times: list[float] = []
+    for pair in range(pairs):
+        order = [(arm, arm_times), (baseline, baseline_times)]
+        for fn, times in order if pair % 2 == 0 else reversed(order):
+            times.append(timed(fn)[1])
+    return arm_times, baseline_times
+
+
+def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile) of *values*."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
 
 
 def speedup(baseline: float, improved: float) -> float:

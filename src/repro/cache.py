@@ -76,9 +76,16 @@ class LRUCache:
     order, lose entries, or drop counter updates.  The lock is a leaf
     in the process locking order — nothing else is ever acquired while
     it is held.
+
+    A cache joins the registry that :func:`cache_stats`,
+    :func:`clear_all_caches` and :func:`evict_by_text` walk, and stays
+    there for the life of the process; a short-lived cache passes
+    ``register=False``.
     """
 
-    def __init__(self, name: str, maxsize: int = 512) -> None:
+    def __init__(
+        self, name: str, maxsize: int = 512, *, register: bool = True
+    ) -> None:
         if maxsize <= 0:
             raise ValueError("cache maxsize must be positive")
         self.name = name
@@ -87,7 +94,8 @@ class LRUCache:
         self.misses = 0
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.RLock()
-        _registry.append(self)
+        if register:
+            _registry.append(self)
 
     def __len__(self) -> int:
         return len(self._data)

@@ -22,6 +22,9 @@ from .subquery_to_join import InToExists, SubqueryToJoin
 #: Every optimizer in the process skips a quarantined rule until
 #: :func:`unquarantine_all` lifts the quarantine (or the process ends).
 _quarantined: dict[str, str] = {}
+#: Bumped after every change to the quarantine set; caches of rewrite
+#: results key on it (see :mod:`repro.statements`).
+_generation = 0
 
 
 def quarantine_rule(name: str, reason: str = "") -> None:
@@ -30,7 +33,9 @@ def quarantine_rule(name: str, reason: str = "") -> None:
     Safe mode calls this when a cross-check shows the rule changed a
     query's result multiset (e.g. an unsound uniqueness verdict let
     DISTINCT elimination drop a needed duplicate-removal step)."""
+    global _generation
     _quarantined[name] = reason
+    _generation += 1
 
 
 def quarantined_rules() -> dict[str, str]:
@@ -40,7 +45,14 @@ def quarantined_rules() -> dict[str, str]:
 
 def unquarantine_all() -> None:
     """Lift every quarantine (tests and operator intervention)."""
+    global _generation
     _quarantined.clear()
+    _generation += 1
+
+
+def quarantine_generation() -> int:
+    """A counter that moves whenever the quarantine set changes."""
+    return _generation
 
 
 @dataclass

@@ -28,8 +28,8 @@ from .operators import PlanNode
 class PlanCache:
     """LRU cache of physical plans, shared by ``execute_planned``."""
 
-    def __init__(self, maxsize: int = 256) -> None:
-        self._cache = LRUCache("plans", maxsize=maxsize)
+    def __init__(self, maxsize: int = 256, *, register: bool = True) -> None:
+        self._cache = LRUCache("plans", maxsize=maxsize, register=register)
 
     def lookup(self, key: tuple) -> PlanNode | None:
         """The cached plan for *key*, or None (also when disabled).

@@ -664,49 +664,64 @@ def execute_plan(
     return Result(plan.schema.output_names(), rows)
 
 
-def plan_cache_fingerprint(query: "Query | str", database) -> tuple | None:
+@dataclass(frozen=True)
+class PreparedQuery:
+    """A query with the plan-cache text and the tables it references.
+
+    :func:`execute_planned` keys its plan cache on :attr:`sql` and
+    scopes the key's fingerprint to :attr:`tables`.  The statement cache
+    (:mod:`repro.statements`) keeps these per statement text, so a warm
+    statement neither prints its AST nor walks it again.
+    """
+
+    query: Query
+    sql: str
+    tables: frozenset[str]
+
+    @classmethod
+    def of(cls, query: Query, sql: str | None = None) -> "PreparedQuery":
+        """*query* with *sql* (default: the query printed) and its tables."""
+        return cls(
+            query,
+            to_sql(query) if sql is None else sql,
+            frozenset(referenced_tables(query)),
+        )
+
+
+def plan_cache_fingerprint(tables: frozenset[str], database) -> tuple | None:
     """The fingerprint component of a plan-cache key, table-scoped.
 
-    For a parsed query against a plain :class:`Database`, the
-    fingerprint covers only the tables the query references — the
-    catalog fingerprint plus each referenced table's data version.  A
-    commit bumps exactly its touched tables, so plans (and anything
-    else keyed this way) for *other* tables survive the write; this is
-    the incremental-invalidation contract the
+    Against a plain :class:`Database`, the fingerprint covers only the
+    referenced *tables* — the catalog fingerprint plus each table's data
+    version.  A commit bumps exactly its touched tables, so plans (and
+    anything else keyed this way) for *other* tables survive the write;
+    this is the incremental-invalidation contract the
     ``invalidation_scoped_total`` counter measures.
 
-    Wrapped databases (shard slices, transaction views), unparsable
-    SQL, and any extraction failure fall back to the whole-database
+    Wrapped databases (shard slices, transaction views), a query without
+    tables, and any extraction failure fall back to the whole-database
     fingerprint via :func:`~repro.cache.safe_fingerprint` — fail-closed,
     never finer-grained than justified.  The scoped shape carries a
     ``"tables"`` discriminator so it can never alias the full
-    ``(catalog, data-sum)`` fingerprint.  Raw SQL is parsed just for
-    scoping; the text itself sits in the key beside the fingerprint,
-    so two queries never share an entry through this parse.
+    ``(catalog, data-sum)`` fingerprint.
     """
-    if type(database) is Database:
+    if type(database) is Database and tables:
         try:
-            ast = parse_query(query) if isinstance(query, str) else query
-            tables = referenced_tables(ast)
+            FAULTS.check(SITE_FINGERPRINT)
+            return (
+                "tables",
+                database.catalog.fingerprint(),
+                database.table_versions(tables),
+            )
+        except ResourceError:
+            raise
         except Exception:
-            tables = None  # unparsable / malformed: fall back to full scope
-        if tables:
-            try:
-                FAULTS.check(SITE_FINGERPRINT)
-                return (
-                    "tables",
-                    database.catalog.fingerprint(),
-                    database.table_versions(tables),
-                )
-            except ResourceError:
-                raise
-            except Exception:
-                return None  # fail-closed: skip the cache entirely
+            return None  # fail-closed: skip the cache entirely
     return safe_fingerprint(database)
 
 
 def execute_planned(
-    query: Query | str,
+    query: "Query | str | PreparedQuery",
     database: Database,
     params: dict[str, SqlValue] | None = None,
     stats: Stats | None = None,
@@ -738,13 +753,24 @@ def execute_planned(
     the result sequence — only which threads evaluate which row ranges.
     *engine_mode* and *batch_rows* stay out of the key for the same
     reason: the vectorized engine runs the identical plan, just batched.
+
+    *query* is SQL text, a parsed query, or a :class:`PreparedQuery`.
+    Text is parsed through the statement cache, so a warm text is not
+    parsed again; a parsed query is printed for its cache key.
     """
     options = options or PlannerOptions()
     if not use_indexes and options.index_scans:
         options = replace(options, index_scans=False)
     stats = stats if stats is not None else Stats()
     cache = plan_cache if plan_cache is not None else GLOBAL_PLAN_CACHE
-    sql_text = query if isinstance(query, str) else to_sql(query)
+    if isinstance(query, str):
+        # Imported here: the statement cache sits above the engine.
+        from ..statements import prepared_query
+
+        query = prepared_query(query, database.catalog)
+    elif not isinstance(query, PreparedQuery):
+        query = PreparedQuery.of(query)
+    sql_text = query.sql
     traced = TRACER.enabled  # one test up front; hot path stays bare
     span_cm = (
         TRACER.span("query.execute_planned", stats=stats, sql=sql_text)
@@ -754,7 +780,7 @@ def execute_planned(
     with span_cm as span:
         plan = None
         key = None
-        fingerprint = plan_cache_fingerprint(query, database)
+        fingerprint = plan_cache_fingerprint(query.tables, database)
         if fingerprint is None:
             stats.cache_skips += 1
         else:
@@ -793,9 +819,9 @@ def execute_planned(
             )
             if traced:
                 with TRACER.span("planner.plan"):
-                    plan = planner.plan(query)
+                    plan = planner.plan(query.query)
             else:
-                plan = planner.plan(query)
+                plan = planner.plan(query.query)
             if key is not None:
                 cache.store(key, plan)
         else:

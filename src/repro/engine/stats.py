@@ -103,7 +103,8 @@ class Stats:
 
     def as_dict(self) -> dict[str, int]:
         """All counters as a plain dictionary."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        values = self.__dict__
+        return {name: values[name] for name in _counter_names(self)}
 
     def snapshot(self) -> "Stats":
         """An independent copy of the current counter values."""

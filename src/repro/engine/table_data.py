@@ -64,6 +64,15 @@ class TableData:
         # while it is held.
         self._index_lock = threading.Lock()
         self._builds_in_flight: dict[tuple[str, ...], threading.Event] = {}
+        # Probe column tuples a key index answers: columns -> (key
+        # position, probe-value order in the key's column order), or
+        # None when the columns are not exactly one key's columns.
+        self._key_probes: dict[
+            tuple[str, ...], tuple[int, tuple[int, ...]] | None
+        ] = {}
+        # Key positions whose index holds one row of an unenforced
+        # duplicate (``insert(enforce=False)``): probes scan a hash index.
+        self._inexact_keys: set[int] = set()
         #: O(n) hash-index builds actually performed (the concurrency
         #: stress test asserts N racing sessions cause exactly one).
         self.index_builds = 0
@@ -157,14 +166,44 @@ class TableData:
     def index_lookup(
         self, columns: tuple[str, ...], values: tuple
     ) -> list[tuple]:
-        """Rows whose *columns* equal *values*, via the hash index.
+        """Rows whose *columns* equal *values*, via an index.
 
-        NULL probe values return no rows: a WHERE-clause equality with
-        NULL is never TRUE (callers relying on ≐ must test separately).
+        When *columns* are a candidate key's columns (in any order) the
+        key index answers: a full key probe has at most one row
+        (Theorem 1), the live version carrying it.  Other columns go to
+        the lazy hash index.  NULL probe values return no rows: a
+        WHERE-clause equality with NULL is never TRUE (callers relying
+        on ≐ must test separately).
         """
         if any(is_null(value) for value in values):
             return []
+        probe = self._key_probes.get(columns, False)
+        if probe is False:
+            probe = self._key_probe(columns)
+        if probe is not None and probe[0] not in self._inexact_keys:
+            position, order = probe
+            version = self._key_indexes[position].get(
+                row_sort_key(tuple(values[i] for i in order))
+            )
+            return [] if version is None else [version.row]
         return self.hash_index(columns).get(row_sort_key(values), [])
+
+    def _key_probe(
+        self, columns: tuple[str, ...]
+    ) -> tuple[int, tuple[int, ...]] | None:
+        """Which key index answers a probe on *columns* (memoized)."""
+        probe = None
+        positions = [self.schema.column_index(name) for name in columns]
+        for number, key in enumerate(self.schema.candidate_keys):
+            key_positions = [self.schema.column_index(n) for n in key.columns]
+            if len(positions) == len(key_positions) and set(positions) == set(
+                key_positions
+            ):
+                order = tuple(positions.index(p) for p in key_positions)
+                probe = (number, order)
+                break
+        self._key_probes[columns] = probe
+        return probe
 
     def has_hash_index(self, columns: tuple[str, ...]) -> bool:
         """Whether an index over *columns* has been materialized."""
@@ -269,6 +308,7 @@ class TableData:
         self.versions.clear()
         for index in self._key_indexes + self._dead_keys:
             index.clear()
+        self._inexact_keys.clear()
         self._dead.clear()
         self._reclaimed = 0
         with self._index_lock:
@@ -473,8 +513,13 @@ class TableData:
 
     def _index_row(self, version: RowVersion) -> None:
         row = version.row
-        for key, index in zip(self.schema.candidate_keys, self._key_indexes):
-            index[self._key_tuple(key.columns, row)] = version
+        for number, (key, index) in enumerate(
+            zip(self.schema.candidate_keys, self._key_indexes)
+        ):
+            key_value = self._key_tuple(key.columns, row)
+            if key_value in index:  # only an unenforced insert gets here
+                self._inexact_keys.add(number)
+            index[key_value] = version
         with self._index_lock:
             for columns, hash_index in self._hash_indexes.items():
                 hash_index.setdefault(

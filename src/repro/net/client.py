@@ -16,7 +16,6 @@ given — while every other envelope decodes to a terminal
 
 from __future__ import annotations
 
-import contextlib
 import http.client
 import json
 import random
@@ -145,11 +144,6 @@ class HttpBackend:
         if control == "begin":
             self.in_transaction = True
         return executed
-
-    def batch(self, sql: str) -> contextlib.AbstractContextManager:
-        """``Cursor.executemany`` hook: the server parses each request,
-        so there is nothing to share across the batch here."""
-        return contextlib.nullcontext()
 
     @staticmethod
     def _transaction_control(sql: str) -> str | None:

@@ -106,5 +106,9 @@ class Deadline:
         smaller of the caller's own timeout and what the deadline has
         left.  Raises :class:`~repro.errors.DeadlineExpiredError` when
         nothing is left."""
-        remaining = self.check()
-        return remaining if timeout is None else min(timeout, remaining)
+        # check(), inlined: this runs once per statement, and the extra
+        # call alone moved benchmark E18a by about a point.
+        remaining = self.expires_at - self.clock()
+        if remaining <= 0.0:
+            raise DeadlineExpiredError(remaining * 1000.0, None)
+        return remaining if timeout is None or remaining < timeout else timeout

@@ -27,7 +27,7 @@ from ..cache import evict_by_text
 from ..core.rewrite.engine import OptimizeResult, quarantine_rule
 from ..engine.database import Database
 from ..engine.plan_cache import PlanCache
-from ..engine.planner import PlannerOptions, execute_planned
+from ..engine.planner import PlannerOptions, PreparedQuery, execute_planned
 from ..engine.result import Result
 from ..engine.stats import Stats
 from ..observe.audit import AuditTrail
@@ -118,8 +118,7 @@ class GuardedOutcome:
 def cross_check(
     outcome: GuardedOutcome,
     optimized: OptimizeResult,
-    source: Query,
-    sql_text: str,
+    source: PreparedQuery,
     database: Database,
     *,
     sample_every: int,
@@ -130,8 +129,9 @@ def cross_check(
 ) -> None:
     """The safe-mode stage: verify the rewritten *outcome* in place.
 
-    *optimized* is the rewrite of *source* (parsed from *sql_text*)
-    that produced *outcome*.  Sampling keys on *sql_text*: its first
+    *optimized* is the rewrite of *source* (the statement as written,
+    whose ``sql`` is the text it was parsed from) that produced
+    *outcome*.  Sampling keys on that text, *sql_text*: its first
     execution is checked, then every *sample_every*-th.  A sampled
     check re-executes the unrewritten *source* and compares multisets.
     On a mismatch it quarantines the rules, evicts every cache entry
@@ -144,6 +144,7 @@ def cross_check(
     interpreter: a diverse pair of executions is a stronger
     cross-check than two identical ones.
     """
+    sql_text = source.sql
     if not _take_sample(sql_text, sample_every):
         return
     outcome.verified = True
@@ -182,4 +183,4 @@ def cross_check(
     outcome.quarantined = list(outcome.rules)
     outcome.result = reference
     outcome.sql = sql_text
-    outcome.query = source
+    outcome.query = source.query

@@ -229,16 +229,18 @@ class HealthDecision:
     Subsystems irrelevant to the execution (no parallelism requested,
     optimizer off by caller choice, ...) are absent from both, so their
     budgets never see traffic that could not have exercised them.
-
-    ``fast`` marks a decision served from the tracker's all-healthy
-    fast path: a shared, effectively-immutable grant of every relevant
-    subsystem, which lets :meth:`HealthTracker.observe` skip the lock
-    entirely for clean executions (a healthy ``record_ok`` is a no-op).
     """
 
     use: dict[str, bool] = field(default_factory=dict)
     probes: dict[str, bool] = field(default_factory=dict)
-    fast: bool = False
+
+    @classmethod
+    def healthy(cls, relevant: dict[str, bool]) -> "HealthDecision":
+        """What an all-healthy ladder grants: the healthy tier of every
+        *relevant* subsystem, none of them a probe."""
+        return cls(
+            use={name: True for name, applies in relevant.items() if applies}
+        )
 
     def granted(self, subsystem: str) -> bool:
         return self.use.get(subsystem, False)
@@ -267,16 +269,13 @@ class HealthTracker:
             name: SubsystemHealth(name, self.policy, clock)
             for name in SUBSYSTEMS
         }
-        # Fast-path state: True iff every subsystem is on its healthy
-        # rung.  Read without the lock in decide()/observe() — a stale
-        # True can at worst grant one more healthy-tier execution
-        # during a concurrent demotion, a race the slow path has
-        # anyway (decisions made just before the demoting observation
-        # landed).  _fast_decisions caches one shared HealthDecision
-        # per relevance combination so the healthy path allocates
-        # nothing per query (benchmark E18a pins this under 5%).
-        self._all_healthy = True
-        self._fast_decisions: dict[tuple[str, ...], HealthDecision] = {}
+        # True iff every subsystem is on its healthy rung.  Callers
+        # read it without the lock to skip decide() on the healthy path,
+        # and observe() on its executions without fault signals: a
+        # stale True can at worst grant one more healthy-tier execution
+        # during a concurrent demotion, a race decide() has anyway
+        # (decisions made just before the demoting observation landed).
+        self.all_healthy = True
 
     # -- decisions ------------------------------------------------------
 
@@ -288,17 +287,6 @@ class HealthTracker:
         (their probation counters must not advance on traffic that
         cannot probe them).
         """
-        if self._all_healthy:
-            key = tuple(
-                name for name, applies in relevant.items() if applies
-            )
-            decision = self._fast_decisions.get(key)
-            if decision is None:
-                decision = HealthDecision(
-                    use={name: True for name in key}, fast=True
-                )
-                self._fast_decisions[key] = decision
-            return decision
         decision = HealthDecision()
         with self._lock:
             for name, applies in relevant.items():
@@ -339,7 +327,7 @@ class HealthTracker:
                     if sub.record_ok(probe):
                         promoted.append(subsystem)
             if demoted or promoted:
-                self._all_healthy = all(
+                self.all_healthy = all(
                     sub.state == STATE_HEALTHY
                     for sub in self._subsystems.values()
                 )
@@ -379,23 +367,12 @@ class HealthTracker:
           fingerprint or lookup failures).
         * ``estimator`` — ``stats.estimator_fallbacks`` (statistics
           estimations demoted to the heuristic model).
+
+        The read pipeline skips this call for an execution that ran
+        under :attr:`all_healthy` and shows none of these signals: it
+        would only record oks on healthy subsystems, which change
+        nothing.
         """
-        if (
-            decision.fast
-            and error is None
-            and (outcome is None or not getattr(outcome, "mismatch", False))
-            and (
-                stats is None
-                or not (
-                    getattr(stats, "vectorized_fallbacks", 0)
-                    or getattr(stats, "cache_skips", 0)
-                    or getattr(stats, "estimator_fallbacks", 0)
-                )
-            )
-        ):
-            # All-healthy decision, clean execution: every record would
-            # be an ok on a healthy subsystem — a no-op.  Skip the lock.
-            return
         evidence: list[tuple[str, int, bool, bool]] = []
         if decision.granted(SUBSYSTEM_VECTORIZED) and stats is not None:
             faults = getattr(stats, "vectorized_fallbacks", 0)

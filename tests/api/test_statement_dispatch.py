@@ -1,8 +1,10 @@
 """The one statement dispatch: each statement text is parsed exactly once.
 
 ``Connection.execute`` and ``QueryService.submit`` both enter
-:func:`repro.api.run_statement`, which parses the text and hands the
-parsed statement, with its source text, to every stage below.  The
+:func:`repro.api.run_statement`, which takes the parsed statement from
+the statement cache (parsing the text on a miss) and hands it, with its
+source text, to every stage below; a warm text is not parsed at all.
+The
 counter here replaces ``repro.sql.parser.parse`` at *every* module name
 bound to it (``from ..sql.parser import parse`` copies the function into
 the importer), so a stage that re-parses through its own binding is
@@ -17,7 +19,7 @@ import sys
 import pytest
 
 import repro
-from repro import QueryService
+from repro import QueryService, clear_all_caches
 from repro.api import run_with_options
 from repro.errors import ParseError, ProtocolError
 from repro.sql import parser
@@ -32,7 +34,12 @@ INSERT_SQL = (
 
 @pytest.fixture()
 def parse_calls(monkeypatch):
-    """A list that grows by one text per call of ``parser.parse``."""
+    """A list that grows by one text per call of ``parser.parse``.
+
+    The registered caches start empty, so the lists do not depend on
+    which texts earlier tests left in the process-wide statement cache.
+    """
+    clear_all_caches()
     calls: list[str] = []
     original = parser.parse
 
@@ -90,6 +97,33 @@ class TestParsedOnce:
             outcome = service.submit(session, READ_SQL).result(30)
         assert outcome.result.rows == [(2, "Baker")]
         assert parse_calls == [READ_SQL]
+
+
+class TestWarmStatements:
+    def test_second_execute_parses_nothing(self, tiny_db, parse_calls):
+        with repro.connect(tiny_db) as conn:
+            conn.execute(READ_SQL)
+            assert conn.execute(READ_SQL).fetchall() == [(2, "Baker")]
+            assert conn.execute(INSERT_SQL).rowcount == 1
+            conn.execute(INSERT_SQL.replace("9,", "10,"))
+        assert parse_calls == [READ_SQL, INSERT_SQL, INSERT_SQL.replace("9,", "10,")]
+
+    def test_ddl_makes_the_next_execute_parse_once(self, tiny_db, parse_calls):
+        with repro.connect(tiny_db) as conn:
+            conn.execute(READ_SQL)
+            tiny_db.run_script("CREATE TABLE EXTRA (X INT NOT NULL, PRIMARY KEY (X))")
+            assert conn.execute(READ_SQL).fetchall() == [(2, "Baker")]
+            conn.execute(READ_SQL)
+        assert parse_calls == [READ_SQL, READ_SQL]
+
+    def test_commits_keep_the_statement_warm(self, tiny_db, parse_calls):
+        """The key is the catalog, not table data: writes move nothing."""
+        sql = "INSERT INTO SUPPLIER VALUES (:SNO, 'Ezra', 'Chicago', 10, 'Active')"
+        with repro.connect(tiny_db) as conn:
+            for sno in (9, 10):
+                conn.execute(sql, {"SNO": sno})
+                assert conn.execute(READ_SQL).fetchall() == [(2, "Baker")]
+        assert parse_calls == [sql, READ_SQL]
 
 
 class TestServiceParseFailure:

@@ -103,6 +103,57 @@ def test_composite_probe_uses_all_columns(db):
     assert parts.index_lookup(("SNO", "COLOR"), (1, "GREEN")) == []
 
 
+COMPOSITE_DDL = """
+CREATE TABLE T (
+    A INT NOT NULL,
+    B VARCHAR(5) NOT NULL,
+    U INT,
+    C INT,
+    PRIMARY KEY (A, B),
+    UNIQUE (U)
+);
+INSERT INTO T VALUES (1, 'x', 7, 0);
+INSERT INTO T VALUES (1, 'y', NULL, 1);
+INSERT INTO T VALUES (2, 'x', 8, 2);
+"""
+
+
+def test_key_probe_reads_the_key_index_and_builds_nothing():
+    table = Database.from_script(COMPOSITE_DDL).table("T")
+    assert table.index_lookup(("A", "B"), (1, "y")) == [(1, "y", NULL, 1)]
+    # Any order of the key's columns is the same probe.
+    assert table.index_lookup(("B", "A"), ("x", 2)) == [(2, "x", 8, 2)]
+    assert table.index_lookup(("U",), (7,)) == [(1, "x", 7, 0)]
+    assert table.index_lookup(("A", "B"), (3, "x")) == []
+    assert table.index_lookup(("U",), (NULL,)) == []  # NULL never equals
+    assert table.index_builds == 0
+    # A part of a key, or a key plus another column, is no key probe.
+    assert len(table.index_lookup(("A",), (1,))) == 2
+    assert table.index_lookup(("A", "B", "C"), (1, "x", 0)) == [(1, "x", 7, 0)]
+    assert table.index_builds == 2
+
+
+def test_key_probe_follows_commits():
+    db = Database.from_script(COMPOSITE_DDL)
+    table = db.table("T")
+    txn = db.begin()
+    for version in list(txn.visible_versions("T")):
+        if version.row[0] == 2:
+            txn.delete_version("T", version)
+    txn.insert_row("T", (2, "x", 9, 3))
+    assert table.index_lookup(("A", "B"), (2, "x")) == [(2, "x", 8, 2)]
+    txn.commit()
+    assert table.index_lookup(("A", "B"), (2, "x")) == [(2, "x", 9, 3)]
+    assert table.index_lookup(("U",), (8,)) == []
+
+
+def test_unenforced_duplicate_keys_fall_back_to_the_hash_index(db):
+    suppliers = db.table("S")
+    suppliers.insert((1, "ROME"), enforce=False)  # deliberate duplicate
+    matches = suppliers.index_lookup(("SNO",), (1,))
+    assert sorted(row[1] for row in matches) == ["LONDON", "ROME"]
+
+
 # ----------------------------------------------------------------------
 # interpreter: key lookups and correlated probes
 

@@ -18,6 +18,9 @@ FILTER_SQL = (
     "WHERE P.COLOR = 'RED' AND P.PNO > 9"
 )
 KEYED_SQL = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = 2"
+#: PARTS.SNO is a foreign key, not a key: its probe uses a lazy hash
+#: index (a full key probe reads the key index and builds nothing).
+FK_SQL = "SELECT P.PNO, P.PNAME FROM PARTS P WHERE P.SNO = 1"
 
 
 def _clean(sql, db, **kwargs):
@@ -49,12 +52,13 @@ def test_index_build_fault_falls_back_to_scan(tiny_db):
     # run would build it and the build site would never trigger.
     stats = Stats()
     with FAULTS.inject(SITE_INDEX_BUILD):
-        result = execute_planned(KEYED_SQL, tiny_db, stats=stats)
+        result = execute_planned(FK_SQL, tiny_db, stats=stats)
     assert stats.index_fallbacks >= 1  # the probe failed and degraded
 
-    expected, clean = _clean(KEYED_SQL, tiny_db)
+    expected, clean = _clean(FK_SQL, tiny_db)
     assert clean.index_probes > 0 and clean.index_fallbacks == 0
     assert result.same_rows(expected)
+    assert len(expected.rows) == 2
 
 
 def test_plan_cache_fault_replans(tiny_db):

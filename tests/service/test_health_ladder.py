@@ -134,3 +134,66 @@ def test_analyze_reports_the_current_tiers(db):
             "tuple",
         )
         assert "health" in outcome.analysis.to_dict()
+
+
+def test_healthy_ladder_is_consulted_only_on_a_fault_signal(db, monkeypatch):
+    """An all-healthy ladder grants every tier, so a clean read neither
+    asks it for a decision nor reports to it; a read with a fault signal
+    reports a grant of exactly the subsystems it could exercise."""
+    from repro.api import run_with_options
+    from repro.engine.stats import Stats
+    from repro.resilience.health import (
+        SUBSYSTEM_PARALLEL,
+        SUBSYSTEM_PLAN_CACHE,
+        HealthTracker,
+    )
+
+    tracker = HealthTracker(POLICY)
+    calls = []
+    monkeypatch.setattr(
+        tracker, "decide", lambda relevant: calls.append(("decide", relevant))
+    )
+    observe = tracker.observe
+    monkeypatch.setattr(
+        tracker,
+        "observe",
+        lambda decision, **kw: (
+            calls.append(("observe", decision)), observe(decision, **kw)
+        ),
+    )
+
+    def read():
+        return run_with_options(
+            SQL, db, options=VECTORIZED, stats=Stats(), health=tracker
+        )
+
+    read()
+    assert calls == []
+    with FAULTS.inject(SITE_VECTORIZED_EVAL, times=1):
+        outcome = read()
+    assert outcome.stats.vectorized_fallbacks == 1
+    [(kind, decision)] = calls
+    assert kind == "observe" and decision.probes == {}
+    assert decision.granted(SUBSYSTEM_VECTORIZED)
+    assert decision.granted(SUBSYSTEM_PLAN_CACHE)
+    assert not decision.granted(SUBSYSTEM_PARALLEL)
+    assert tracker.snapshot()[SUBSYSTEM_VECTORIZED]["faults_in_window"] == 1
+
+
+def test_plan_cache_bypass_tier_leaves_the_cache_registry_alone(db):
+    """The bypass tier plans every read into a throwaway cache; those
+    must not pile up in the process-wide registry."""
+    from repro.api import run_with_options
+    from repro.cache import cache_stats, iter_caches
+    from repro.engine.stats import Stats
+    from repro.resilience.health import SUBSYSTEM_PLAN_CACHE, HealthTracker
+
+    tracker = HealthTracker(POLICY)
+    tracker.record(SUBSYSTEM_PLAN_CACHE, faults=POLICY.budget)
+    assert tracker.tier(SUBSYSTEM_PLAN_CACHE) == "bypass"
+    before = len(list(iter_caches()))
+    plans = cache_stats()["plans"]
+    for _ in range(20):
+        run_with_options(SQL, db, stats=Stats(), health=tracker)
+    assert len(list(iter_caches())) == before
+    assert cache_stats()["plans"] == plans
